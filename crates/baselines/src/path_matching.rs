@@ -198,7 +198,7 @@ impl PathMatching {
         let best = scored[0].0;
         let evaluated = faces.len();
         self.beam = scored;
-        let sim = similarity(&v, &self.map.face(best).signature);
+        let sim = similarity(&v, &self.map.signature(best));
         (estimate, best, sim, evaluated)
     }
 

@@ -49,25 +49,5 @@ fn bench_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_adaptive(c: &mut Criterion) {
-    let constant = uncertainty_constant(1.0, 4.0, 6.0);
-    let field = Rect::square(100.0);
-    let pos = positions(20, 5);
-    let mut g = c.benchmark_group("facemap/adaptive");
-    g.sample_size(10);
-    // Full build at 0.5 m vs adaptive 4 m → 0.5 m (refine 8): same final
-    // resolution, boundary-only classification.
-    g.bench_function("full_0.5m", |b| {
-        b.iter(|| FaceMap::build(&pos, field, constant, 0.5));
-    });
-    g.bench_function("adaptive_4m_r8", |b| {
-        b.iter(|| FaceMap::build_adaptive(&pos, field, constant, 4.0, 8, 1));
-    });
-    g.bench_function("adaptive_2m_r4", |b| {
-        b.iter(|| FaceMap::build_adaptive(&pos, field, constant, 2.0, 4, 1));
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_nodes, bench_parallel, bench_adaptive);
+criterion_group!(benches, bench_nodes, bench_parallel);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Performance snapshot of the packed signature-plane kernels.
 //!
-//! Times face-map construction (serial / parallel / adaptive) and matching
+//! Times face-map construction (serial / parallel) and matching
 //! throughput at n ∈ {10, 20, 40} against in-binary *scalar reference*
 //! implementations of the seed's code paths, then match throughput alone
 //! at the scale rows n ∈ {100, 200} (cell 0.5 m, ~4×10⁴ faces each) where
@@ -26,7 +26,7 @@
 //! on a shared box; DESIGN.md records the full cell-size scaling.
 //!
 //! Writes a table to stdout and a hand-formatted `BENCH_core.json` at the
-//! repository root (the vendored `serde_json` is a compile-only stub).
+//! repository root (the workspace carries no JSON library).
 //!
 //! With `--check BASELINE.json` the binary runs the same workload but,
 //! instead of writing the artifact, diffs the fresh timings against the
@@ -52,6 +52,9 @@ struct Setup {
     c: f64,
     cell: f64,
     map: FaceMap,
+    /// Every face's signature, decoded once for the scalar reference
+    /// matcher (the seed kept one `SignatureVector` per face).
+    signatures: Vec<SignatureVector>,
     vector: SamplingVector,
     truth: Point,
     /// Sampling vectors from a 10×10 grid of probe targets — the p99
@@ -77,12 +80,14 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
         })
         .map(|p| basic_sampling_vector(&sampler.sample(&sensor_field, p, &mut rng)))
         .collect();
+    let signatures = map.faces().iter().map(|f| map.signature(f.id)).collect();
     Setup {
         positions,
         field,
         c,
         cell,
         map,
+        signatures,
         vector: basic_sampling_vector(&group),
         truth,
         probes,
@@ -176,10 +181,10 @@ fn scalar_reference_build(positions: &[Point], field: Rect, c: f64, cell_size: f
 }
 
 /// The seed's exhaustive matcher: scalar distance and a `1/√d²` per face.
-fn scalar_reference_match(map: &FaceMap, v: &SamplingVector) -> f64 {
+fn scalar_reference_match(signatures: &[SignatureVector], v: &SamplingVector) -> f64 {
     let mut best = f64::NEG_INFINITY;
-    for f in map.faces() {
-        let d2 = difference_norm_squared(v, &f.signature);
+    for sig in signatures {
+        let d2 = difference_norm_squared(v, sig);
         let s = if d2 == 0.0 {
             f64::INFINITY
         } else {
@@ -224,7 +229,6 @@ struct BuildCols {
     ref_ms: f64,
     serial_ms: f64,
     parallel_ms: f64,
-    adaptive_ms: f64,
 }
 
 struct Row {
@@ -320,7 +324,6 @@ fn main() {
             "build ref (ms)",
             "build serial (ms)",
             "build par (ms)",
-            "build adaptive (ms)",
             "match ref (µs)",
             "match packed (µs)",
             "heur warm (µs)",
@@ -343,16 +346,12 @@ fn main() {
                 &mut || {
                     FaceMap::build_with_threads(&s.positions, s.field, s.c, s.cell, threads);
                 },
-                &mut || {
-                    FaceMap::build_adaptive(&s.positions, s.field, s.c, 4.0, 4, threads);
-                },
             ],
         );
         let build_cols = BuildCols {
             ref_ms: build[0],
             serial_ms: build[1],
             parallel_ms: build[2],
-            adaptive_ms: build[3],
         };
 
         // Matches are microsecond-scale, so each timed round is a batch.
@@ -363,7 +362,7 @@ fn main() {
             &mut [
                 &mut || {
                     for _ in 0..match_batch {
-                        std::hint::black_box(scalar_reference_match(&s.map, &s.vector));
+                        std::hint::black_box(scalar_reference_match(&s.signatures, &s.vector));
                     }
                 },
                 &mut || {
@@ -397,7 +396,6 @@ fn main() {
             format!("{:.1}", build_cols.ref_ms),
             format!("{:.1}", build_cols.serial_ms),
             format!("{:.1}", build_cols.parallel_ms),
-            format!("{:.1}", build_cols.adaptive_ms),
             format!("{match_ref_us:.1}"),
             format!("{match_packed_us:.1}"),
             format!("{match_heur_us:.1}"),
@@ -453,7 +451,6 @@ fn main() {
         table.row(&[
             n.to_string(),
             s.map.face_count().to_string(),
-            "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),
@@ -613,7 +610,7 @@ fn run_gate(fresh_json: &str, path: &std::path::Path) -> i32 {
     }
 }
 
-/// Hand-formatted JSON: the vendored `serde_json` is a compile-only stub.
+/// Hand-formatted JSON: the workspace carries no JSON library.
 /// The telemetry snapshot comes from a separate instrumented pass (the
 /// timed loops run sink-free) and is embedded under `"metrics"`.
 fn render_json(
@@ -629,7 +626,6 @@ fn render_json(
     out.push_str("  \"config\": {\n");
     out.push_str("    \"field\": \"100x100 m\",\n");
     out.push_str("    \"cell_size_m\": \"per row (`cell_m`): 1.0 for n <= 40, 0.5 for the match-only scale rows\",\n");
-    out.push_str("    \"adaptive\": {\"coarse_cell_m\": 4.0, \"refine\": 4},\n");
     out.push_str(&format!("    \"threads\": {threads},\n"));
     out.push_str(&format!("    \"seed\": {seed},\n"));
     out.push_str(
@@ -653,12 +649,8 @@ fn render_json(
             out.push_str(&format!("        \"scalar_reference\": {:.3},\n", b.ref_ms));
             out.push_str(&format!("        \"packed_serial\": {:.3},\n", b.serial_ms));
             out.push_str(&format!(
-                "        \"packed_parallel\": {:.3},\n",
+                "        \"packed_parallel\": {:.3}\n",
                 b.parallel_ms
-            ));
-            out.push_str(&format!(
-                "        \"packed_adaptive\": {:.3}\n",
-                b.adaptive_ms
             ));
             out.push_str("      },\n");
         }

@@ -54,14 +54,6 @@ pub fn core_tolerances() -> Vec<(&'static str, &'static str, Tolerance)> {
             },
         ),
         (
-            "build_ms",
-            "packed_adaptive",
-            Tolerance {
-                ratio: 2.0,
-                slack: 2.0,
-            },
-        ),
-        (
             "match_us",
             "packed_exhaustive",
             Tolerance {
@@ -353,7 +345,7 @@ mod tests {
                 format!(
                     r#"{{"n": {n}, "faces": {faces},
                         "build_ms": {{"scalar_reference": 9.0, "packed_serial": 4.0,
-                                      "packed_parallel": 2.0, "packed_adaptive": 1.0}},
+                                      "packed_parallel": 2.0}},
                         "match_us": {{"scalar_reference": 900.0, "packed_exhaustive": {us},
                                       "heuristic_warm": 5.0}}}}"#
                 )

@@ -859,8 +859,8 @@ pub fn campaign_field_side(cfg: &CampaignConfig) -> f64 {
     campaign_params(cfg).field_side
 }
 
-/// Hand-formatted JSON artifact (the vendored `serde_json` is a
-/// compile-only stub). When a telemetry snapshot is supplied it is
+/// Hand-formatted JSON artifact (the workspace carries no JSON
+/// library). When a telemetry snapshot is supplied it is
 /// embedded under a `"metrics"` key so `BENCH_robustness.json` carries
 /// the campaign's instrumentation counters alongside the envelopes.
 ///

@@ -8,7 +8,7 @@
 use fttt::facemap::FaceMap;
 use fttt::matching::match_exhaustive;
 use fttt::sampling::basic_sampling_vector;
-use fttt::vector::{difference_norm_squared, SamplingVector};
+use fttt::vector::{PackedQuery, SamplingVector};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -34,8 +34,8 @@ fn setup() -> (FaceMap, SamplingVector) {
 /// one `1/√d²` per face, tracking the best similarity.
 fn uninstrumented_scan(map: &FaceMap, v: &SamplingVector) -> f64 {
     let mut best = f64::NEG_INFINITY;
-    for f in map.faces() {
-        let d2 = difference_norm_squared(v, &f.signature);
+    let q = PackedQuery::new(v);
+    for (_, d2) in map.planes().scan(&q) {
         let s = if d2 == 0.0 {
             f64::INFINITY
         } else {
@@ -82,8 +82,8 @@ fn disabled_telemetry_is_effectively_free() {
     let bare = min_batch_us(rounds, batch, || {
         std::hint::black_box(uninstrumented_scan(&map, &v));
     });
-    // The instrumented matcher does strictly more (tie tracking, packed
-    // kernels differ from the scalar scan), so this is a loose sanity
+    // The instrumented matcher does strictly more (tie tracking and the
+    // final tie sort), so this is a loose sanity
     // bound: the enabled-check must not make it an outlier. Lenient by
     // design — it guards against a sink accidentally armed by default or
     // an unconditional allocation on the hot path, not microvariance.

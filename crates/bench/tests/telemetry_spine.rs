@@ -39,7 +39,7 @@ fn campaign_populates_every_telemetry_layer() {
     let map = FaceMap::build(&positions, Rect::square(100.0), 1.15, 1.0);
     for f in map.faces().iter().take(3) {
         let v = SamplingVector::new(
-            f.signature
+            map.signature(f.id)
                 .components()
                 .iter()
                 .map(|&c| Some(c as f64))

@@ -10,7 +10,7 @@
 use fttt::facemap::FaceMap;
 use fttt::matching::match_exhaustive;
 use fttt::sampling::basic_sampling_vector;
-use fttt::vector::{difference_norm_squared, SamplingVector};
+use fttt::vector::{PackedQuery, SamplingVector};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -33,8 +33,8 @@ fn setup() -> (FaceMap, SamplingVector) {
 /// The matcher's work without any instrumentation call sites.
 fn uninstrumented_scan(map: &FaceMap, v: &SamplingVector) -> f64 {
     let mut best = f64::NEG_INFINITY;
-    for f in map.faces() {
-        let d2 = difference_norm_squared(v, &f.signature);
+    let q = PackedQuery::new(v);
+    for (_, d2) in map.planes().scan(&q) {
         let s = if d2 == 0.0 {
             f64::INFINITY
         } else {

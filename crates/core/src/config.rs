@@ -9,7 +9,6 @@ use wsn_signal::PathLossModel;
 
 /// How the face-map uncertainty constant `C` is derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ConstantRule {
     /// The paper's eq. (3): `C` from the expected distance ratio at the
     /// sensing-resolution limit. Faithful default.
@@ -23,7 +22,6 @@ pub enum ConstantRule {
 
 /// Which sensing-noise model the sampler draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NoiseModel {
     /// Eq. 1's log-normal shadowing (physical default).
     GaussianEq1,
@@ -38,7 +36,6 @@ pub enum NoiseModel {
 /// implementation knobs the paper leaves implicit (reference path loss and
 /// grid cell size).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PaperParams {
     /// Field side, metres (Table 1: 100 × 100 m²).
     pub field_side: f64,

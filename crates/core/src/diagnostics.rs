@@ -9,7 +9,6 @@ use crate::vector::SamplingVector;
 
 /// Composition of one sampling vector's components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VectorComposition {
     /// Components equal to +1 or −1 (ordinal pairs).
     pub ordinal: usize,

@@ -22,7 +22,6 @@ use wsn_telemetry as telemetry;
 
 /// Dense face identifier (index into [`FaceMap::faces`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaceId(pub u32);
 
 impl FaceId {
@@ -40,14 +39,12 @@ impl fmt::Display for FaceId {
 }
 
 /// One face of the division: a maximal set of grid cells sharing a
-/// signature vector.
+/// signature vector. The signature itself (Definition 6, unique within the
+/// map) lives in the map's plane arena — see [`FaceMap::signature`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Face {
     /// Identifier (equals the face's index).
     pub id: FaceId,
-    /// The face's signature (Definition 6); unique within the map.
-    pub signature: SignatureVector,
     /// Centroid of the face's cell centres (eq. 5) — the location estimate
     /// reported when the target is matched to this face.
     pub centroid: Point,
@@ -58,16 +55,6 @@ pub struct Face {
     /// conservative geometric reachability tests, e.g. the PM baseline's
     /// max-velocity constraint).
     pub bbox: Rect,
-}
-
-impl Face {
-    /// `true` if no component of the signature is `0`, i.e. the face lies
-    /// outside every pair's uncertain area — a "certain" face in the sense
-    /// of the sequence-based baselines (these vanish as `C` grows, paper
-    /// Fig. 3(c)).
-    pub fn is_certain(&self) -> bool {
-        self.signature.components().iter().all(|&v| v != 0)
-    }
 }
 
 /// Computes the signature vector of point `p` for sensors at `positions`
@@ -355,7 +342,7 @@ pub(super) type PlaneKeyState = std::hash::BuildHasherDefault<PlaneKeyHasher>;
 
 /// Signature → face index over the packed planes: a word-hash bucket map
 /// (first face per hash) plus an overflow list for the astronomically rare
-/// 64-bit collisions; lookups always confirm by full component comparison.
+/// 64-bit collisions; lookups always confirm by full plane comparison.
 #[derive(Debug, Clone, Default)]
 pub(super) struct SignatureIndex {
     pub(super) first: HashMap<u64, u32, PlaneKeyState>,
@@ -577,7 +564,6 @@ pub(super) fn assemble(
             let (sx, sy, count) = sums[i];
             Face {
                 id: FaceId(i as u32),
-                signature: planes.signature(i),
                 centroid: Point::new(sx / count as f64, sy / count as f64),
                 cell_count: count,
                 bbox: boxes[i],
@@ -711,96 +697,6 @@ impl FaceMap {
             par_map_threads(threads, &rows, |_, &iy| raster.rasterize_row(&grid, iy))
         };
         Self::from_packed_rows(grid, positions, c, packed)
-    }
-
-    /// Builds the map with the **adaptive double-level grid division** of
-    /// the authors' companion work ([29], referenced in Section 4.3):
-    /// classify a coarse lattice first, then refine only the coarse cells
-    /// that sit on a face boundary (a 4-neighbor with a different
-    /// signature), letting interior fine cells inherit the coarse label
-    /// without touching the `O(pairs)` classifier.
-    ///
-    /// With `B` boundary cells out of `N` coarse cells, classification
-    /// work drops from `N·r²` to `N + B·r²` (`r` = `refine` factor) —
-    /// typically 3–10× on the paper's field (see the `facemap_build`
-    /// Criterion bench). The price is approximation: a face thinner than a
-    /// coarse cell can be missed entirely if it never crosses a coarse
-    /// centre; the `adaptive` tests bound how often that happens at the
-    /// paper's parameters.
-    ///
-    /// The resulting map's resolution equals `coarse_cell / refine`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same inputs as [`FaceMap::build_with_threads`], or if
-    /// `refine < 2`.
-    pub fn build_adaptive(
-        positions: &[Point],
-        field: Rect,
-        c: f64,
-        coarse_cell: f64,
-        refine: u32,
-        threads: usize,
-    ) -> Self {
-        assert!(positions.len() >= 2, "need at least two sensors");
-        assert!(
-            c.is_finite() && c >= 1.0,
-            "uncertainty constant must be ≥ 1, got {c}"
-        );
-        assert!(
-            refine >= 2,
-            "refinement factor must be at least 2, got {refine}"
-        );
-        let _total = telemetry::span("fttt.build.total");
-        let coarse = Grid::cover(field, coarse_cell);
-        let fine = Grid::cover(field, coarse_cell / refine as f64);
-        let raster = RowRasterizer::new(positions, c);
-
-        // Pass 1: classify the coarse lattice.
-        let rasterize_span = telemetry::span("fttt.build.rasterize");
-        let rows: Vec<u32> = (0..coarse.ny()).collect();
-        let coarse_rows: Vec<PackedRow> =
-            par_map_threads(threads, &rows, |_, &iy| raster.rasterize_row(&coarse, iy));
-
-        // Pass 2: mark coarse cells on a signature boundary (packed word
-        // comparison — plane equality is signature equality).
-        let boundary: Vec<bool> = (0..coarse.cell_count())
-            .map(|lin| {
-                let idx = coarse.from_linear(lin);
-                let here = coarse_rows[idx.iy as usize].cell(idx.ix as usize);
-                coarse
-                    .neighbors4(idx)
-                    .any(|nb| coarse_rows[nb.iy as usize].cell(nb.ix as usize) != here)
-            })
-            .collect();
-
-        // Pass 3: emit fine-cell signatures — classified inside boundary
-        // cells, inherited (a word copy) elsewhere.
-        let fine_rows_idx: Vec<u32> = (0..fine.ny()).collect();
-        let fine_rows: Vec<PackedRow> = par_map_threads(threads, &fine_rows_idx, |_, &iy| {
-            let nx = fine.nx() as usize;
-            let mut row = PackedRow::zeroed(nx, raster.words);
-            let mut s = raster.scratch();
-            raster.begin_row(fine.center(CellIndex::new(0, iy)).y, &mut s);
-            // The owning coarse cell (fine lattices can extend one partial
-            // column/row past the coarse one).
-            let cy = (iy / refine).min(coarse.ny() - 1);
-            for ix in 0..nx {
-                let cx = (ix as u32 / refine).min(coarse.nx() - 1);
-                let (pw, mw) = row.cell_mut(ix);
-                if boundary[coarse.linear(CellIndex::new(cx, cy))] {
-                    let center_x = fine.center(CellIndex::new(ix as u32, iy)).x;
-                    raster.classify_into(center_x, &mut s, pw, mw);
-                } else {
-                    let (cp, cm) = coarse_rows[cy as usize].cell(cx as usize);
-                    pw.copy_from_slice(cp);
-                    mw.copy_from_slice(cm);
-                }
-            }
-            row
-        });
-        drop(rasterize_span);
-        Self::from_packed_rows(fine, positions, c, fine_rows)
     }
 
     /// Groups per-cell packed signatures (row-major) into faces,
@@ -946,6 +842,28 @@ impl FaceMap {
         Some(FaceId(self.cell_to_face[self.grid.linear(idx)]))
     }
 
+    /// The signature of face `id` (Definition 6), decoded from the plane
+    /// arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this map.
+    pub fn signature(&self, id: FaceId) -> SignatureVector {
+        self.planes.signature(id.index())
+    }
+
+    /// `true` if no component of face `id`'s signature is `0`, i.e. the
+    /// face lies outside every pair's uncertain area — a "certain" face in
+    /// the sense of the sequence-based baselines (these vanish as `C`
+    /// grows, paper Fig. 3(c)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this map.
+    pub fn is_certain(&self, id: FaceId) -> bool {
+        self.planes.is_certain(id.index())
+    }
+
     /// The face with exactly this signature, if any cell produced it.
     pub fn find_by_signature(&self, sig: &SignatureVector) -> Option<FaceId> {
         if sig.len() != self.pair_dimension() {
@@ -959,9 +877,10 @@ impl FaceMap {
             plus[w] |= u64::from(c > 0) << b;
             minus[w] |= u64::from(c < 0) << b;
         }
-        // Full-component comparison, not just plane words: out-of-range
-        // components in a foreign signature pack to the same planes as 0.
-        let matches = |f: u32| self.planes.components(f as usize) == sig.components();
+        // Plane words are the whole signature: a `SignatureVector` only
+        // ever holds components in {−1, 0, 1}.
+        let matches =
+            |f: u32| self.planes.plus(f as usize) == plus && self.planes.minus(f as usize) == minus;
         let first = *self.sig_index.first.get(&hash_planes(&plus, &minus))?;
         if matches(first) {
             return Some(FaceId(first));
@@ -1000,7 +919,9 @@ impl FaceMap {
     /// the certain-sequence baselines rely on; the paper's Fig. 3 shows
     /// them disappearing as `C` or node spacing grows.
     pub fn certain_face_count(&self) -> usize {
-        self.faces.iter().filter(|f| f.is_certain()).count()
+        (0..self.faces.len())
+            .filter(|&f| self.planes.is_certain(f))
+            .count()
     }
 
     /// Exact signature of an arbitrary point under this map's sensors and
@@ -1016,8 +937,8 @@ impl FaceMap {
         &self.planes
     }
 
-    /// Approximate resident size of the map in bytes: signature storage
-    /// (`faces × pairs`), the packed plane arena, the cell→face index,
+    /// Approximate resident size of the map in bytes: the packed plane
+    /// arena (the only copy of the signatures), the cell→face index,
     /// the neighbor links and the churn bookkeeping (deployment roster,
     /// live list, pair gather) — the quantities behind the paper's
     /// `O(n⁴)` storage claim (Section 4.4.2). Excludes allocator overhead
@@ -1028,7 +949,6 @@ impl FaceMap {
     /// back), so the reported bytes stay exact across repairs: killing
     /// and reviving the same node returns the map to the original value.
     pub fn memory_bytes(&self) -> usize {
-        let signatures = self.faces.len() * self.pair_dimension() * std::mem::size_of::<i8>();
         let faces = self.faces.len() * std::mem::size_of::<Face>();
         let cells = self.cell_to_face.len() * std::mem::size_of::<u32>();
         let links = self.neighbor_link_count() * std::mem::size_of::<FaceId>();
@@ -1037,7 +957,7 @@ impl FaceMap {
         let index = self.faces.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
         let topology = self.deployment.len() * std::mem::size_of::<Point>()
             + (self.live.len() + self.pair_gather.len()) * std::mem::size_of::<u32>();
-        signatures + index + faces + cells + links + topology + self.planes.memory_bytes()
+        index + faces + cells + links + topology + self.planes.memory_bytes()
     }
 
     /// Drops any slack capacity left by construction or repair. Both
@@ -1146,11 +1066,11 @@ impl FaceMap {
             write_f64(w, p.y)?;
         }
         write_u32(w, self.faces.len() as u32)?;
-        let dim = self.pair_dimension();
+        // Signatures as raw bytes (two's complement i8), decoded from the
+        // planes into one reused buffer.
+        let mut bytes = vec![0u8; self.pair_dimension()];
         for f in &self.faces {
-            debug_assert_eq!(f.signature.len(), dim);
-            // Signatures as raw bytes (two's complement i8).
-            let bytes: Vec<u8> = f.signature.components().iter().map(|&v| v as u8).collect();
+            self.planes.component_bytes(f.id.index(), &mut bytes);
             w.write_all(&bytes)?;
             for v in [
                 f.centroid.x,
@@ -1226,14 +1146,20 @@ impl FaceMap {
             return Err(CodecError::Corrupt("face count out of range"));
         }
         let mut faces = Vec::with_capacity(n_faces);
+        // No up-front reservation: the face count is untrusted input, so
+        // the arena grows only as rows are actually read.
+        let mut planes = SignaturePlanes::new(dim);
+        let mut comps = vec![0i8; dim];
+        let mut sig_bytes = vec![0u8; dim];
         for i in 0..n_faces {
-            let mut sig_bytes = vec![0u8; dim];
             r.read_exact(&mut sig_bytes)?;
-            let comps: Vec<i8> = sig_bytes.into_iter().map(|b| b as i8).collect();
+            for (c, &b) in comps.iter_mut().zip(&sig_bytes) {
+                *c = b as i8;
+            }
             if comps.iter().any(|&v| !(-1..=1).contains(&v)) {
                 return Err(CodecError::Corrupt("signature component out of range"));
             }
-            let signature = SignatureVector::new(comps);
+            planes.push_components(&comps);
             let cx = read_f64(r)?;
             let cy = read_f64(r)?;
             let bx0 = read_f64(r)?;
@@ -1249,7 +1175,6 @@ impl FaceMap {
             }
             faces.push(Face {
                 id: FaceId(i as u32),
-                signature,
                 centroid: Point::new(cx, cy),
                 cell_count,
                 bbox: Rect::new(Point::new(bx0, by0), Point::new(bx1, by1)),
@@ -1286,10 +1211,12 @@ impl FaceMap {
             neighbors.push(nbs);
         }
 
-        let mut planes = SignaturePlanes::from_signatures(dim, faces.iter().map(|f| &f.signature));
         let mut sig_index = SignatureIndex::default();
         for f in 0..n_faces as u32 {
-            let same = |g: u32| planes.components(g as usize) == planes.components(f as usize);
+            let same = |g: u32| {
+                planes.plus(g as usize) == planes.plus(f as usize)
+                    && planes.minus(g as usize) == planes.minus(f as usize)
+            };
             match sig_index.first.entry(hash_planes(
                 planes.plus(f as usize),
                 planes.minus(f as usize),
@@ -1359,12 +1286,9 @@ mod tests {
         let map = FaceMap::build(&square4(), field(), 1.15, 2.0);
         let mut seen = std::collections::HashSet::new();
         for f in map.faces() {
-            assert!(
-                seen.insert(f.signature.clone()),
-                "duplicate signature {}",
-                f.signature
-            );
-            assert_eq!(map.find_by_signature(&f.signature), Some(f.id));
+            let sig = map.signature(f.id);
+            assert_eq!(map.find_by_signature(&sig), Some(f.id));
+            assert!(seen.insert(sig.clone()), "duplicate signature {sig}");
         }
     }
 
@@ -1374,7 +1298,7 @@ mod tests {
         for (idx, center) in map.grid().iter_centers() {
             let _ = idx;
             let id = map.face_at(center).unwrap();
-            assert_eq!(map.face(id).signature, map.signature_at(center));
+            assert_eq!(map.signature(id), map.signature_at(center));
         }
     }
 
@@ -1404,7 +1328,7 @@ mod tests {
         let boundary_cells: usize = map
             .faces()
             .iter()
-            .filter(|f| !f.is_certain())
+            .filter(|f| !map.is_certain(f.id))
             .map(|f| f.cell_count)
             .sum();
         // Hairline faces cover a vanishing fraction of the field.
@@ -1453,7 +1377,7 @@ mod tests {
         let mut links = 0usize;
         for f in map.faces() {
             for &nb in map.neighbors(f.id) {
-                let d2 = f.signature.distance_squared(&map.face(nb).signature);
+                let d2 = map.signature(f.id).distance_squared(&map.signature(nb));
                 links += 1;
                 if d2 <= 1.0 + 1e-12 {
                     one_step += 1;
@@ -1470,8 +1394,8 @@ mod tests {
         let serial = FaceMap::build(&square4(), field(), 1.15, 1.0);
         let parallel = FaceMap::build_with_threads(&square4(), field(), 1.15, 1.0, 4);
         assert_eq!(serial.face_count(), parallel.face_count());
+        assert_eq!(serial.planes(), parallel.planes());
         for (a, b) in serial.faces().iter().zip(parallel.faces()) {
-            assert_eq!(a.signature, b.signature);
             assert_eq!(a.cell_count, b.cell_count);
             assert!((a.centroid.x - b.centroid.x).abs() < 1e-12);
             assert!((a.centroid.y - b.centroid.y).abs() < 1e-12);
@@ -1492,7 +1416,7 @@ mod tests {
         // Every coarse signature still exists in the fine map.
         let mut found = 0;
         for f in coarse.faces() {
-            if fine.find_by_signature(&f.signature).is_some() {
+            if fine.find_by_signature(&coarse.signature(f.id)).is_some() {
                 found += 1;
             }
         }
@@ -1510,15 +1434,11 @@ mod tests {
         assert_eq!(back.face_count(), map.face_count());
         assert_eq!(back.uncertainty_constant(), map.uncertainty_constant());
         assert_eq!(back.positions(), map.positions());
-        for (a, b) in map.faces().iter().zip(back.faces()) {
-            assert_eq!(a.signature, b.signature);
-            assert_eq!(a.cell_count, b.cell_count);
-            assert_eq!(a.centroid, b.centroid);
-            assert_eq!(a.bbox, b.bbox);
-        }
+        assert_eq!(back.faces(), map.faces());
         for f in map.faces() {
+            assert_eq!(back.signature(f.id), map.signature(f.id));
             assert_eq!(back.neighbors(f.id), map.neighbors(f.id));
-            assert_eq!(back.find_by_signature(&f.signature), Some(f.id));
+            assert_eq!(back.find_by_signature(&map.signature(f.id)), Some(f.id));
         }
         // And it matches identically.
         for (_, center) in map.grid().iter_centers().step_by(13) {
@@ -1564,88 +1484,15 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_full_build_structure() {
-        let pos = square4();
-        let full = FaceMap::build(&pos, field(), 1.15, 1.0);
-        let adaptive = FaceMap::build_adaptive(&pos, field(), 1.15, 4.0, 4, 1);
-        assert_eq!(adaptive.grid().cell_size(), 1.0);
-        // Every full-build face of meaningful size must exist in the
-        // adaptive map (hairline faces inside unrefined cells may be
-        // missed — that is the documented approximation).
-        let mut found = 0usize;
-        let mut meaningful = 0usize;
-        for f in full.faces() {
-            if f.cell_count >= 4 {
-                meaningful += 1;
-                if adaptive.find_by_signature(&f.signature).is_some() {
-                    found += 1;
-                }
-            }
-        }
-        assert!(
-            found as f64 >= 0.95 * meaningful as f64,
-            "adaptive found {found}/{meaningful} meaningful faces"
-        );
-    }
-
-    #[test]
-    fn adaptive_cells_agree_with_full_build() {
-        let pos = square4();
-        let full = FaceMap::build(&pos, field(), 1.15, 1.0);
-        let adaptive = FaceMap::build_adaptive(&pos, field(), 1.15, 4.0, 4, 2);
-        let mut agree = 0usize;
-        for (_, center) in full.grid().iter_centers() {
-            let a = full.face(full.face_at(center).unwrap()).signature.clone();
-            let b = adaptive
-                .face(adaptive.face_at(center).unwrap())
-                .signature
-                .clone();
-            if a == b {
-                agree += 1;
-            }
-        }
-        let frac = agree as f64 / full.grid().cell_count() as f64;
-        assert!(frac > 0.97, "only {frac:.3} of cells agree");
-    }
-
-    #[test]
-    fn adaptive_partitions_all_cells() {
-        let pos = square4();
-        let adaptive = FaceMap::build_adaptive(&pos, field(), 1.15, 8.0, 4, 2);
-        let total: usize = adaptive.faces().iter().map(|f| f.cell_count).sum();
-        assert_eq!(total, adaptive.grid().cell_count());
-        // Neighbor symmetry holds for the adaptive map too.
-        for f in adaptive.faces() {
-            for &nb in adaptive.neighbors(f.id) {
-                assert!(adaptive.neighbors(nb).contains(&f.id));
-            }
-        }
-    }
-
-    #[test]
     fn planes_mirror_face_signatures() {
         let map = FaceMap::build(&square4(), field(), 1.15, 2.0);
         assert_eq!(map.planes().face_count(), map.face_count());
         assert_eq!(map.planes().dim(), map.pair_dimension());
-        for f in map.faces() {
-            assert_eq!(map.planes().signature(f.id.index()), f.signature);
-        }
         // The codec rebuilds an identical plane arena.
         let mut bytes = Vec::new();
         map.write_to(&mut bytes).unwrap();
         let back = FaceMap::read_from(&mut bytes.as_slice()).unwrap();
         assert_eq!(back.planes(), map.planes());
-        // And the adaptive builder fills it the same way.
-        let adaptive = FaceMap::build_adaptive(&square4(), field(), 1.15, 4.0, 4, 2);
-        for f in adaptive.faces() {
-            assert_eq!(adaptive.planes().signature(f.id.index()), f.signature);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn adaptive_needs_refinement() {
-        let _ = FaceMap::build_adaptive(&square4(), field(), 1.15, 4.0, 1, 1);
     }
 
     #[test]

@@ -154,14 +154,6 @@ fn apply_copy(ops: &[BitOp], src: &[u64], dst: &mut [u64]) {
     }
 }
 
-/// Byte-range copies for the component rows (same segments as the bit
-/// planes, applied to `i8` instead of bits).
-fn copy_comps(segs: &[(usize, usize, usize)], src: &[i8], dst: &mut [i8]) {
-    for &(s, d, len) in segs {
-        dst[d..d + len].copy_from_slice(&src[s..s + len]);
-    }
-}
-
 /// Ascending pair indices (canonical enumeration over `n` list slots)
 /// that involve list slot `r`: `(0,r) … (r−1,r)`, then `(r,r+1) …
 /// (r,n−1)`. Both sub-sequences are increasing and the second starts
@@ -387,8 +379,7 @@ impl FaceMap {
         let old_dim = pair_count(old_n);
         let new_dim = pair_count(old_n - 1);
         let new_words = words_for(new_dim);
-        let segs = copy_segments(&node_pairs(removed, old_n), old_dim, true);
-        let ops = compile_copy(&segs);
+        let ops = compile_copy(&copy_segments(&node_pairs(removed, old_n), old_dim, true));
 
         // Phase 1: transform and group the faces. New ids numbered by
         // ascending lowest old member id — which *is* first-encounter
@@ -402,7 +393,6 @@ impl FaceMap {
         let mut face_remap: Vec<u32> = Vec::with_capacity(nf);
         let mut pbuf = vec![0u64; new_words];
         let mut mbuf = vec![0u64; new_words];
-        let mut cbuf = vec![0i8; new_dim];
         for f in 0..nf {
             pbuf.fill(0);
             mbuf.fill(0);
@@ -414,8 +404,7 @@ impl FaceMap {
             };
             let id = match sig_index.first.entry(hash_planes(&pbuf, &mbuf)) {
                 Entry::Vacant(e) => {
-                    copy_comps(&segs, self.planes.components(f), &mut cbuf);
-                    let id = planes.push_raw(&pbuf, &mbuf, &cbuf) as u32;
+                    let id = planes.push_raw(&pbuf, &mbuf) as u32;
                     e.insert(id);
                     id
                 }
@@ -427,8 +416,7 @@ impl FaceMap {
                     {
                         g
                     } else {
-                        copy_comps(&segs, self.planes.components(f), &mut cbuf);
-                        let id = planes.push_raw(&pbuf, &mbuf, &cbuf) as u32;
+                        let id = planes.push_raw(&pbuf, &mbuf) as u32;
                         sig_index.overflow.push(id);
                         id
                     }
@@ -469,8 +457,7 @@ impl FaceMap {
         let new_dim = pair_count(new_n);
         let new_words = words_for(new_dim);
         let fresh = node_pairs(inserted, new_n);
-        let segs = copy_segments(&fresh, new_dim, false);
-        let ops = compile_copy(&segs);
+        let ops = compile_copy(&copy_segments(&fresh, new_dim, false));
 
         // Phase 1: per-cell fresh bits; group by (old face, fresh bits).
         let grid = self.grid.clone();
@@ -514,21 +501,16 @@ impl FaceMap {
         sig_index.first.reserve(reps.len());
         let mut pbuf = vec![0u64; new_words];
         let mut mbuf = vec![0u64; new_words];
-        let mut cbuf = vec![0i8; new_dim];
         for &(of, fp, fm) in &reps {
             pbuf.fill(0);
             mbuf.fill(0);
             apply_copy(&ops, self.planes.plus(of as usize), &mut pbuf);
             apply_copy(&ops, self.planes.minus(of as usize), &mut mbuf);
-            copy_comps(&segs, self.planes.components(of as usize), &mut cbuf);
             for (k, &bit) in fresh.iter().enumerate() {
-                let pb = (fp >> k & 1) as i8;
-                let mb = (fm >> k & 1) as i8;
                 pbuf[bit / 64] |= (fp >> k & 1) << (bit % 64);
                 mbuf[bit / 64] |= (fm >> k & 1) << (bit % 64);
-                cbuf[bit] = pb - mb;
             }
-            let id = planes.push_raw(&pbuf, &mbuf, &cbuf) as u32;
+            let id = planes.push_raw(&pbuf, &mbuf) as u32;
             // Distinct keys materialize distinct planes (old planes are
             // unique per face, fresh bits live at disjoint positions), so
             // an occupied bucket is a pure hash collision.
@@ -717,18 +699,23 @@ mod tests {
             let squeeze = copy_segments(&skips, dim, true);
             let total: usize = squeeze.iter().map(|&(_, _, l)| l).sum();
             assert_eq!(total, dim - skips.len());
-            // Squeeze then scatter restores every kept position.
+            // Squeeze then scatter restores every kept bit.
             let scatter = copy_segments(&skips, dim, false);
-            let src: Vec<i8> = (0..dim as i64).map(|v| (v % 3 - 1) as i8).collect();
-            let mut dense = vec![0i8; dim - skips.len()];
-            copy_comps(&squeeze, &src, &mut dense);
-            let mut back = vec![0i8; dim];
-            copy_comps(&scatter, &dense, &mut back);
-            for (i, (&a, &b)) in src.iter().zip(&back).enumerate() {
+            let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1;
+            let src: Vec<u64> = vec![0x9E37_79B9_7F4A_7C15; words_for(dim)];
+            let mut dense = vec![0u64; words_for(dim - skips.len())];
+            apply_copy(&compile_copy(&squeeze), &src, &mut dense);
+            let mut back = vec![0u64; words_for(dim)];
+            apply_copy(&compile_copy(&scatter), &dense, &mut back);
+            for i in 0..dim {
                 if skips.contains(&i) {
-                    assert_eq!(b, 0);
+                    assert_eq!(bit(&back, i), 0);
                 } else {
-                    assert_eq!(a, b, "position {i} lost in round trip");
+                    assert_eq!(
+                        bit(&back, i),
+                        bit(&src, i),
+                        "position {i} lost in round trip"
+                    );
                 }
             }
         }

@@ -70,9 +70,7 @@ pub mod vector;
 
 pub use config::{ConstantRule, NoiseModel, PaperParams};
 pub use facemap::{Face, FaceId, FaceMap, RepairMode, RepairReport};
-pub use matching::{
-    match_exhaustive, match_full, match_heuristic, match_indexed, MatchOutcome, MatchStrategy,
-};
+pub use matching::{match_exhaustive, match_heuristic, match_indexed, MatchOutcome};
 pub use sampling::{basic_sampling_vector, extended_sampling_vector};
 pub use session::{
     status_name, RoundTrace, SessionOptions, SessionRound, SessionRun, TrackStatus, TrackingSession,

@@ -16,36 +16,6 @@ use crate::facemap::{FaceId, FaceMap};
 use crate::vector::{PackedQuery, SamplingVector};
 use wsn_telemetry as telemetry;
 
-/// How a full-accuracy (exhaustive-quality) match is executed.
-///
-/// Both strategies return **bit-identical** outcomes — same winner, same
-/// similarity, same tie set (the `index_differential` suite proves it) —
-/// so callers pick purely on performance. Only
-/// [`MatchOutcome::evaluated`] differs: the index reports the distance
-/// evaluations it actually spent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchStrategy {
-    /// Linear scan over every face ([`match_exhaustive`]).
-    Scan,
-    /// Coarse-to-fine descent over the face map's chunk index
-    /// ([`match_indexed`]), pruning whole chunks by their envelope lower
-    /// bound before any face is scanned.
-    #[default]
-    Indexed,
-}
-
-/// Runs a full-accuracy match under the chosen [`MatchStrategy`].
-///
-/// # Panics
-///
-/// Panics if the vector's dimension does not match the map's pair count.
-pub fn match_full(map: &FaceMap, v: &SamplingVector, strategy: MatchStrategy) -> MatchOutcome {
-    match strategy {
-        MatchStrategy::Scan => match_exhaustive(map, v),
-        MatchStrategy::Indexed => match_indexed(map, v),
-    }
-}
-
 /// Result of matching one sampling vector against a face map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchOutcome {
@@ -83,6 +53,12 @@ fn similarity_of_d2(d2: f64) -> f64 {
 /// Maximum-likelihood matching: scans every face, returns the argmax of
 /// the similarity with all ties collected.
 ///
+/// The scan walks the plane arena sequentially in its storage (chunk)
+/// order and sorts the tie list by face id at the end, so the winner —
+/// the lowest face id at the best distance — and the tie set are exactly
+/// those of a scan in face-id order. This is the reference the indexed
+/// matcher is tested against, and the path every extended query takes.
+///
 /// # Panics
 ///
 /// Panics if the vector's dimension does not match the map's pair count
@@ -97,16 +73,16 @@ pub fn match_exhaustive(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
     let q = PackedQuery::new(v);
     let mut best_d2 = f64::INFINITY;
     let mut ties: Vec<FaceId> = Vec::new();
-    for f in 0..map.face_count() {
-        let d2 = planes.distance_squared(f, &q);
+    for (f, d2) in planes.scan(&q) {
         if d2 < best_d2 {
             best_d2 = d2;
             ties.clear();
-            ties.push(FaceId(f as u32));
+            ties.push(FaceId(f));
         } else if d2 == best_d2 {
-            ties.push(FaceId(f as u32));
+            ties.push(FaceId(f));
         }
     }
+    ties.sort_unstable();
     let face = *ties
         .first()
         .expect("FaceMap invariant: a built map has at least one face (asserted at construction)");
@@ -304,8 +280,8 @@ pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
                 for (slot, &f) in planes.chunk_faces(c as usize).iter().enumerate() {
                     evaluated += 1;
                     // Early-exit evaluation against the current best,
-                    // streaming the chunk-ordered lane copy of the
-                    // planes: a rejected face provably has d² > best and
+                    // streaming the chunk's consecutive arena slots: a
+                    // rejected face provably has d² > best and
                     // can neither win nor tie, so the outcome stays
                     // bit-identical to the exhaustive scan.
                     let Some(d2) = planes.chunk_slot_distance_within(c as usize, slot, &q, best_d2)
@@ -547,19 +523,19 @@ mod tests {
         FaceMap::build(&square4(), Rect::square(100.0), 1.15, 1.0)
     }
 
+    /// The sampling vector equal to face `id`'s signature.
+    fn exact(m: &FaceMap, id: FaceId) -> SamplingVector {
+        let sig = m.signature(id);
+        SamplingVector::new(sig.components().iter().map(|&c| Some(c as f64)).collect())
+    }
+
     /// The exact signature of a face must match back to that face with
     /// infinite similarity.
     #[test]
     fn exhaustive_finds_exact_faces() {
         let m = map();
         for f in m.faces().iter().take(50) {
-            let v = SamplingVector::new(
-                f.signature
-                    .components()
-                    .iter()
-                    .map(|&c| Some(c as f64))
-                    .collect(),
-            );
+            let v = exact(&m, f.id);
             let out = match_exhaustive(&m, &v);
             assert_eq!(out.face, f.id);
             assert_eq!(out.similarity, f64::INFINITY);
@@ -584,13 +560,7 @@ mod tests {
             "far-away pair leaves the field undivided"
         );
         let f = &m.faces()[0];
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let out = match_exhaustive(&m, &v);
         assert_eq!(out.face, f.id);
         assert_eq!(out.ties, vec![f.id]);
@@ -608,13 +578,7 @@ mod tests {
     fn exhaustive_visits_every_face() {
         let m = map();
         let f0 = &m.faces()[0];
-        let v = SamplingVector::new(
-            f0.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f0.id);
         let out = match_exhaustive(&m, &v);
         assert_eq!(out.evaluated, m.face_count());
         assert_eq!(out.rounds, 0);
@@ -626,12 +590,7 @@ mod tests {
     fn exhaustive_ml_on_perturbed_vector() {
         let m = map();
         let f = m.face(m.center_face()).clone();
-        let mut comps: Vec<Option<f64>> = f
-            .signature
-            .components()
-            .iter()
-            .map(|&c| Some(c as f64))
-            .collect();
+        let mut comps = exact(&m, f.id).components().to_vec();
         // Toggle the first 0 component to 1 (or flip a 1 to 0).
         let idx = comps.iter().position(|c| *c == Some(0.0)).unwrap_or(0);
         comps[idx] = Some(if comps[idx] == Some(0.0) { 1.0 } else { 0.0 });
@@ -649,8 +608,8 @@ mod tests {
         // scalar argmin of ‖V_d − V_s(f)‖², with the similarity computed
         // from exactly that squared distance.
         let f = m.face(m.center_face()).clone();
-        let comps: Vec<Option<f64>> = f
-            .signature
+        let comps: Vec<Option<f64>> = m
+            .signature(f.id)
             .components()
             .iter()
             .enumerate()
@@ -666,7 +625,7 @@ mod tests {
         let out = match_exhaustive(&m, &v);
         let (mut arg, mut best) = (0usize, f64::INFINITY);
         for (i, face) in m.faces().iter().enumerate() {
-            let d2 = difference_norm_squared(&v, &face.signature);
+            let d2 = difference_norm_squared(&v, &m.signature(face.id));
             if d2 < best {
                 best = d2;
                 arg = i;
@@ -703,7 +662,7 @@ mod tests {
                     let scored: Vec<f64> = m
                         .faces()
                         .iter()
-                        .map(|f| difference_norm_squared(&v, &f.signature))
+                        .map(|f| difference_norm_squared(&v, &m.signature(f.id)))
                         .collect();
                     let d2min = scored.iter().cloned().fold(f64::INFINITY, f64::min);
                     let rmin = (1.0 / d2min.sqrt()).to_bits();
@@ -742,13 +701,7 @@ mod tests {
         // start.
         let target = m.face_at(Point::new(52.0, 48.0)).unwrap();
         let f = m.face(target);
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let exhaustive = match_exhaustive(&m, &v);
         let mut converged = 0;
         let starts = [0usize, 1, m.face_count() / 2, m.face_count() - 1];
@@ -768,13 +721,7 @@ mod tests {
         let m = map();
         let target = m.center_face();
         let f = m.face(target);
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         // Warm start at the answer: zero rounds, evaluates only the
         // neighborhood.
         let out = match_heuristic(&m, &v, target);
@@ -789,13 +736,7 @@ mod tests {
         let m = map();
         let target = m.center_face();
         let f = m.face(target);
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let nb = m.neighbors(target)[0];
         let out = match_heuristic(&m, &v, nb);
         assert_eq!(out.face, target);
@@ -823,23 +764,10 @@ mod tests {
             .faces()
             .iter()
             .step_by(7)
-            .map(|f| {
-                SamplingVector::new(
-                    f.signature
-                        .components()
-                        .iter()
-                        .map(|&c| Some(c as f64))
-                        .collect(),
-                )
-            })
+            .map(|f| exact(&m, f.id))
             .collect();
         let f = m.face(m.center_face()).clone();
-        let mut comps: Vec<Option<f64>> = f
-            .signature
-            .components()
-            .iter()
-            .map(|&c| Some(c as f64))
-            .collect();
+        let mut comps = exact(&m, f.id).components().to_vec();
         comps[0] = Some(if comps[0] == Some(0.0) { 1.0 } else { 0.0 });
         comps[5] = None;
         probes.push(SamplingVector::new(comps));
@@ -864,13 +792,7 @@ mod tests {
     fn indexed_prunes_on_exact_match() {
         let m = map();
         let f = m.face(m.center_face()).clone();
-        let v = SamplingVector::new(
-            f.signature
-                .components()
-                .iter()
-                .map(|&c| Some(c as f64))
-                .collect(),
-        );
+        let v = exact(&m, f.id);
         let out = match_indexed(&m, &v);
         assert_eq!(out.face, f.id);
         assert_eq!(out.similarity, f64::INFINITY);
@@ -899,18 +821,6 @@ mod tests {
         assert_eq!(ix.similarity.to_bits(), ex.similarity.to_bits());
         assert_eq!(ix.ties, ex.ties);
         assert_eq!(ix.evaluated, m.face_count(), "fallback scans every face");
-    }
-
-    /// `match_full` is a pure dispatcher.
-    #[test]
-    fn match_full_dispatches_both_strategies() {
-        let m = map();
-        let v = SamplingVector::new(vec![None; m.pair_dimension()]);
-        let scan = match_full(&m, &v, MatchStrategy::Scan);
-        let indexed = match_full(&m, &v, MatchStrategy::Indexed);
-        assert_eq!(scan, match_exhaustive(&m, &v));
-        assert_eq!(indexed, match_indexed(&m, &v));
-        assert_eq!(MatchStrategy::default(), MatchStrategy::Indexed);
     }
 
     /// One-face degenerate map through the indexed path.

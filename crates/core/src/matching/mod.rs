@@ -10,12 +10,9 @@
 //!   links from a start face (the previous localization when tracking),
 //!   dropping the per-localization cost to `O(n²)` in practice.
 //!
-//! Callers that want exhaustive *quality* without committing to a
-//! particular execution pick a [`MatchStrategy`] and go through
-//! [`match_full`].
+//! Full-accuracy matches in production go through [`match_indexed`];
+//! [`match_exhaustive`] is its test oracle and the extended-query path.
 
 mod algorithms;
 
-pub use algorithms::{
-    match_exhaustive, match_full, match_heuristic, match_indexed, MatchOutcome, MatchStrategy,
-};
+pub use algorithms::{match_exhaustive, match_heuristic, match_indexed, MatchOutcome};

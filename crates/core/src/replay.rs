@@ -69,6 +69,9 @@ pub fn digest_run(digest: &mut Digest, run: &SessionRun) {
 /// Digests a face map: the map epoch, face count, then per face (in id
 /// order) the signature components, centroid and cell count.
 ///
+/// Runs after every churn repair, so the signatures are decoded from the
+/// plane arena into one reused buffer — no allocation per face.
+///
 /// This is the audit anchor for the map-construction path: face ids are
 /// assigned by first encounter in row-major raster order, *not* by
 /// `HashMap` iteration — if a refactor ever let hash-map ordering leak
@@ -88,11 +91,13 @@ pub fn digest_face_map(map: &FaceMap) -> u64 {
     d.write_u64(map.epoch());
     let faces = map.faces();
     d.write_u64(faces.len() as u64);
+    let mut components = vec![0u8; map.pair_dimension()];
     for face in faces {
         d.write_u64(face.id.0 as u64);
-        for &c in face.signature.components() {
-            d.write_bytes(&[c as u8]);
-        }
+        // One component per byte (two's complement), as the codec writes.
+        map.planes()
+            .component_bytes(face.id.index(), &mut components);
+        d.write_bytes(&components);
         d.write_f64(face.centroid.x);
         d.write_f64(face.centroid.y);
         d.write_u64(face.cell_count as u64);

@@ -19,10 +19,9 @@
 //!    teleporting, real targets don't.
 //!
 //! Failing checks walk a recovery ladder: trust the (heuristic) climb →
-//! force an exhaustive-quality re-acquisition (executed under the
-//! tracker's [`MatchStrategy`](crate::matching::MatchStrategy) — by
-//! default the chunk-indexed matcher, which returns the identical face at
-//! a fraction of the scan cost) → hold the last trusted estimate and
+//! force an exhaustive-quality re-acquisition (executed by the
+//! chunk-indexed matcher, which returns the identical face at a fraction
+//! of the scan cost) → hold the last trusted estimate and
 //! report [`TrackStatus::Lost`]. In parallel the session escalates the
 //! sampling times `k` toward the Section-5.1 bound
 //! `k > 1 − log₂(1 − λ^{1/N})` ([`crate::theory::required_sampling_times`])

@@ -3,7 +3,7 @@
 
 use crate::error::ErrorStats;
 use crate::facemap::{FaceId, FaceMap, RepairMode, RepairReport};
-use crate::matching::{match_full, match_heuristic, MatchOutcome, MatchStrategy};
+use crate::matching::{match_heuristic, match_indexed, MatchOutcome};
 use crate::sampling::{basic_sampling_vector, extended_sampling_vector};
 use crate::vector::SamplingVector;
 use rand::Rng;
@@ -16,15 +16,14 @@ use wsn_telemetry as telemetry;
 /// Which matcher a tracker uses per localization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Matching {
-    /// Scan every face (the `O(n⁴)` maximum-likelihood baseline matcher).
+    /// Maximum-likelihood matching over every face (the `O(n⁴)` baseline
+    /// matcher), executed through the chunk index: whole chunks are pruned
+    /// by an envelope lower bound first, with the exhaustive scan's exact
+    /// outcome.
     Exhaustive,
     /// Algorithm 2: hill-climb over neighbor links, warm-started from the
     /// previous localization.
     Heuristic {
-        /// Re-run exhaustively when the climb strands below this
-        /// similarity (guards against local maxima after target jumps);
-        /// `None` trusts the climb unconditionally.
-        fallback_below: Option<f64>,
         /// Re-run exhaustively when the climb's similarity falls below
         /// this fraction of the rolling median of recent (finite)
         /// similarities. Unlike an absolute threshold, this tracks the
@@ -44,12 +43,6 @@ pub struct TrackerOptions {
     pub extended: bool,
     /// Matching strategy.
     pub matching: Matching,
-    /// How full-accuracy matches execute — the exhaustive matcher itself,
-    /// the heuristic's fallback/re-acquisition scans, everything that
-    /// must return the exact maximum-likelihood face. Both strategies are
-    /// bit-identical in outcome; [`MatchStrategy::Indexed`] (the default)
-    /// prunes whole chunks of faces by an envelope lower bound first.
-    pub strategy: MatchStrategy,
     /// On similarity ties, report the mean of the tied faces' centroids
     /// (the paper's tie rule) instead of the first face's centroid.
     pub tie_average: bool,
@@ -62,7 +55,6 @@ impl Default for TrackerOptions {
         Self {
             extended: false,
             matching: Matching::Exhaustive,
-            strategy: MatchStrategy::default(),
             tie_average: true,
         }
     }
@@ -90,7 +82,6 @@ impl TrackerOptions {
     pub fn heuristic() -> Self {
         Self {
             matching: Matching::Heuristic {
-                fallback_below: None,
                 reacquire_ratio: Some(DEFAULT_REACQUIRE_RATIO),
             },
             ..Self::default()
@@ -276,31 +267,26 @@ impl Tracker {
     pub fn localize(&mut self, group: &GroupSampling) -> (Point, MatchOutcome) {
         let v = self.sampling_vector(group);
         let outcome = match self.options.matching {
-            Matching::Exhaustive => match_full(&self.map, &v, self.options.strategy),
-            Matching::Heuristic {
-                fallback_below,
-                reacquire_ratio,
-            } => {
+            Matching::Exhaustive => match_indexed(&self.map, &v),
+            Matching::Heuristic { reacquire_ratio } => {
                 let start = self.previous.unwrap_or_else(|| self.map.center_face());
                 let out = match_heuristic(&self.map, &v, start);
-                let below_absolute = fallback_below.is_some_and(|th| out.similarity < th);
                 let stranded = reacquire_ratio.is_some_and(|r| {
                     self.rolling_median_similarity()
                         .is_some_and(|median| out.similarity < r * median)
                 });
-                if below_absolute || stranded {
+                if stranded {
                     if telemetry::journal_enabled() {
                         use telemetry::ArgValue;
                         telemetry::trace_instant(
                             "fttt.tracker.fallback_reacquire",
                             vec![
                                 ("similarity", ArgValue::F64(out.similarity)),
-                                ("below_absolute", ArgValue::Bool(below_absolute)),
                                 ("stranded", ArgValue::Bool(stranded)),
                             ],
                         );
                     }
-                    let mut ex = match_full(&self.map, &v, self.options.strategy);
+                    let mut ex = match_indexed(&self.map, &v);
                     ex.evaluated += out.evaluated;
                     ex
                 } else {
@@ -314,14 +300,13 @@ impl Tracker {
         (estimate, outcome)
     }
 
-    /// Localizes one grouping sampling with a forced full-accuracy match
-    /// (under the configured [`MatchStrategy`]), regardless of the
-    /// configured matching mode, and rebases the warm start on the
+    /// Localizes one grouping sampling with a forced full-accuracy
+    /// (indexed) match, regardless of the configured matching mode, and rebases the warm start on the
     /// result. The session layer's recovery ladder uses this when the
     /// heuristic climb is suspected of being stranded.
     pub fn reacquire(&mut self, group: &GroupSampling) -> (Point, MatchOutcome) {
         let v = self.sampling_vector(group);
-        let outcome = match_full(&self.map, &v, self.options.strategy);
+        let outcome = match_indexed(&self.map, &v);
         self.record_similarity(outcome.similarity);
         self.previous = Some(outcome.face);
         let estimate = self.resolve_estimate(&outcome);

@@ -22,10 +22,16 @@
 //! adds the same integers in f64, exactly).
 //!
 //! Extended vectors (Definition 10) carry arbitrary values in `[−1, 1]`
-//! and fall back to a flat structure-of-arrays kernel: a contiguous
-//! per-face component row and a `{0.0, 1.0}` presence mask replace the
-//! `Option<f64>` branching, and terms are accumulated in pair order so
-//! the result stays bit-identical to the scalar reference.
+//! and take a decode kernel instead: the query precomputes, per pair, the
+//! squared term the scalar reference would add for a face component of
+//! `−1`, `0` and `+1`; each plane word is spread back to its 64 components
+//! by table, eight at a time, and the picked terms are accumulated
+//! strictly in pair order, so the result stays bit-identical to the
+//! scalar reference.
+//!
+//! The planes are the only stored copy of a map's signatures: every
+//! component-level view (a [`SignatureVector`], the codec's bytes, the
+//! replay digest) is decoded from them on demand.
 //!
 //! [`difference_norm_squared`]: crate::vector::difference_norm_squared
 
@@ -33,14 +39,22 @@ use crate::vector::{hugepages, simd, SamplingVector, SignatureVector};
 
 /// Bit-plane arena holding the signatures of every face of a map.
 ///
-/// Face `f`'s planes live at word range `f·W .. (f+1)·W` of [`plus`] and
-/// [`minus`] (`W` = [`words_per_face`]); its raw components additionally
-/// live at `f·P .. (f+1)·P` of a flat `i8` row used by the extended-vector
-/// fallback kernel (and to reconstruct [`SignatureVector`]s).
+/// The arena is a sequence of *slots*, one per face: slot `s` stores its
+/// planes at words `sW .. (s+1)W` of a plus and a minus array
+/// (`W` = [`words_per_face`]). Until [`build_chunks`] runs, slot `s` holds
+/// face `s`. Building the chunk index re-lays the slots out in chunk
+/// order, so the indexed matcher's leaf scans and the exhaustive sweep
+/// both stream the arena sequentially; face-id access
+/// ([`plus`], [`minus`], [`distance_squared`]) then goes through a
+/// face→slot table. The two planes stay in separate arrays: sparse
+/// queries read a few words of each, and two strided streams scan
+/// faster than one interleaved stream of twice the stride.
 ///
 /// [`plus`]: SignaturePlanes::plus
 /// [`minus`]: SignaturePlanes::minus
+/// [`distance_squared`]: SignaturePlanes::distance_squared
 /// [`words_per_face`]: SignaturePlanes::words_per_face
+/// [`build_chunks`]: SignaturePlanes::build_chunks
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignaturePlanes {
     dim: usize,
@@ -48,7 +62,6 @@ pub struct SignaturePlanes {
     faces: usize,
     plus: Vec<u64>,
     minus: Vec<u64>,
-    comps: Vec<i8>,
     chunks: PlaneChunks,
 }
 
@@ -76,9 +89,11 @@ pub struct SignaturePlanes {
 /// fine per-chunk bounds are only ever computed inside the survivors.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PlaneChunks {
-    /// Face ids grouped by chunk: chunk `c` owns
-    /// `face_order[starts[c] .. starts[c+1]]`, ascending within a chunk.
+    /// Face id per arena slot: chunk `c` owns slots
+    /// `starts[c] .. starts[c+1]`, ascending face ids within a chunk.
     face_order: Vec<u32>,
+    /// Arena slot per face id — the inverse of `face_order`.
+    slot_of: Vec<u32>,
     /// Chunk boundaries into `face_order`; `len = chunk_count + 1`, empty
     /// when no chunks are built.
     starts: Vec<u32>,
@@ -89,13 +104,6 @@ struct PlaneChunks {
     env: EnvelopeArena,
     /// Per-super-chunk envelopes, block `s` of the arena.
     super_env: EnvelopeArena,
-    /// Chunk-ordered copy of the face planes: the face at `face_order`
-    /// position `p` stores its plus plane at `lanes[2pw .. 2pw+w]` and
-    /// its minus plane at `lanes[2pw+w .. 2pw+2w]` (`w` = words). Leaf
-    /// scans stream this sequentially instead of hopping through the
-    /// main arena in face-id order — trading one extra copy of the
-    /// planes for hardware-prefetchable candidate evaluation.
-    lanes: Vec<u64>,
 }
 
 impl PlaneChunks {
@@ -108,41 +116,22 @@ impl PlaneChunks {
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.face_order.capacity() + self.starts.capacity() + self.super_starts.capacity())
+        (self.face_order.capacity()
+            + self.slot_of.capacity()
+            + self.starts.capacity()
+            + self.super_starts.capacity())
             * std::mem::size_of::<u32>()
             + self.env.memory_bytes()
             + self.super_env.memory_bytes()
-            + self.lanes.capacity() * std::mem::size_of::<u64>()
     }
 
     fn shrink_to_fit(&mut self) {
         self.face_order.shrink_to_fit();
+        self.slot_of.shrink_to_fit();
         self.starts.shrink_to_fit();
         self.super_starts.shrink_to_fit();
         self.env.shrink_to_fit();
         self.super_env.shrink_to_fit();
-        self.lanes.shrink_to_fit();
-    }
-
-    /// Asks the OS (best-effort) to back the hot arenas — the lanes and
-    /// both envelope levels — with transparent huge pages. At scale the
-    /// lanes alone span hundreds of megabytes, and the indexed matcher's
-    /// candidate sweeps are dTLB-bound on 4 KiB pages.
-    fn advise_hugepages(&self) {
-        hugepages::advise(&self.lanes);
-        self.env.advise_hugepages();
-        self.super_env.advise_hugepages();
-    }
-
-    /// The chunk-ordered `(plus, minus)` planes of the face at
-    /// `face_order` position `pos`.
-    #[inline]
-    fn lane(&self, pos: usize, words: usize) -> (&[u64], &[u64]) {
-        let base = pos * 2 * words;
-        (
-            &self.lanes[base..base + words],
-            &self.lanes[base + words..base + 2 * words],
-        )
     }
 }
 
@@ -260,6 +249,21 @@ const fn spread_table(lane: u8) -> [u64; 256] {
     t
 }
 
+/// The 64 components of the plane word pair `(p, m)` as two's-complement
+/// bytes: each plane byte spreads to eight `+1` / `−1` bytes by table, then
+/// the two spreads OR together (the planes are disjoint, so they never
+/// collide). Bytes past `dim` in a last word decode as `0`.
+#[inline]
+fn decode_word(p: u64, m: u64) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    for (g, group) in out.chunks_exact_mut(8).enumerate() {
+        let spread = SPREAD_PLUS[(p >> (8 * g)) as u8 as usize]
+            | SPREAD_MINUS[(m >> (8 * g)) as u8 as usize];
+        group.copy_from_slice(&spread.to_le_bytes());
+    }
+    out
+}
+
 impl SignaturePlanes {
     /// Creates an empty arena for signatures of `dim` pair components.
     ///
@@ -274,7 +278,6 @@ impl SignaturePlanes {
             faces: 0,
             plus: Vec::new(),
             minus: Vec::new(),
-            comps: Vec::new(),
             chunks: PlaneChunks::default(),
         }
     }
@@ -284,7 +287,6 @@ impl SignaturePlanes {
     pub fn reserve(&mut self, additional: usize) {
         self.plus.reserve(additional * self.words);
         self.minus.reserve(additional * self.words);
-        self.comps.reserve(additional * self.dim);
     }
 
     /// Drops excess arena capacity (the counterpart of [`reserve`] once
@@ -294,7 +296,6 @@ impl SignaturePlanes {
     pub fn shrink_to_fit(&mut self) {
         self.plus.shrink_to_fit();
         self.minus.shrink_to_fit();
-        self.comps.shrink_to_fit();
         self.chunks.shrink_to_fit();
     }
 
@@ -317,19 +318,25 @@ impl SignaturePlanes {
     /// Panics if `sig.len() != self.dim()`.
     pub fn push_signature(&mut self, sig: &SignatureVector) -> usize {
         assert_eq!(sig.len(), self.dim, "signature/plane dimension mismatch");
-        assert!(
-            !self.has_chunks(),
-            "cannot append faces after chunk summaries are built"
-        );
+        self.push_components(sig.components())
+    }
+
+    /// Appends one face from raw components, which the caller has already
+    /// checked lie in `{−1, 0, 1}` (a [`SignatureVector`], or a validated
+    /// codec row). Returns the face index.
+    pub(crate) fn push_components(&mut self, comps: &[i8]) -> usize {
+        assert_eq!(comps.len(), self.dim, "component row has wrong length");
+        self.assert_open();
+        let w = self.words;
         let base = self.plus.len();
-        self.plus.resize(base + self.words, 0);
-        self.minus.resize(base + self.words, 0);
-        for (i, &c) in sig.components().iter().enumerate() {
-            let (w, b) = (base + i / 64, i % 64);
-            self.plus[w] |= u64::from(c == 1) << b;
-            self.minus[w] |= u64::from(c == -1) << b;
+        self.plus.resize(base + w, 0);
+        self.minus.resize(base + w, 0);
+        let (plus, minus) = (&mut self.plus[base..], &mut self.minus[base..]);
+        for (i, &c) in comps.iter().enumerate() {
+            let (k, b) = (i / 64, i % 64);
+            plus[k] |= u64::from(c == 1) << b;
+            minus[k] |= u64::from(c == -1) << b;
         }
-        self.comps.extend_from_slice(sig.components());
         self.faces += 1;
         self.faces - 1
     }
@@ -347,10 +354,7 @@ impl SignaturePlanes {
     pub fn push_packed(&mut self, plus: &[u64], minus: &[u64]) -> usize {
         assert_eq!(plus.len(), self.words, "plus plane has wrong word count");
         assert_eq!(minus.len(), self.words, "minus plane has wrong word count");
-        assert!(
-            !self.has_chunks(),
-            "cannot append faces after chunk summaries are built"
-        );
+        self.assert_open();
         let pad = self.padding_mask();
         for w in 0..self.words {
             assert_eq!(plus[w] & minus[w], 0, "overlapping signature planes");
@@ -358,55 +362,24 @@ impl SignaturePlanes {
                 assert_eq!((plus[w] | minus[w]) & pad, 0, "padding bits set");
             }
         }
-        self.plus.extend_from_slice(plus);
-        self.minus.extend_from_slice(minus);
-        // Decode the component row eight components a step (this is on the
-        // rasterizer's per-new-face path; per-element bit extraction would
-        // be the build's hottest loop): spread each plane byte to eight
-        // `+1` / `−1` bytes by table, then OR — the planes are disjoint
-        // (asserted above), so the two spreads never collide.
-        let base = self.comps.len();
-        self.comps.resize(base + self.dim, 0);
-        for (w, chunk) in self.comps[base..].chunks_mut(64).enumerate() {
-            let (p, m) = (plus[w], minus[w]);
-            for (g, group) in chunk.chunks_mut(8).enumerate() {
-                let spread = SPREAD_PLUS[(p >> (8 * g)) as u8 as usize]
-                    | SPREAD_MINUS[(m >> (8 * g)) as u8 as usize];
-                let bytes = spread.to_le_bytes();
-                // The last group of the last word may be shorter than 8.
-                let take = group.len();
-                for (c, &b) in group.iter_mut().zip(&bytes[..take]) {
-                    *c = b as i8;
-                }
-            }
-        }
-        self.faces += 1;
-        self.faces - 1
+        self.push_raw(plus, minus)
     }
 
-    /// Appends one face from packed words **and** a pre-gathered component
-    /// row — the churn-repair path, where both the planes and the
-    /// components are bit-moved out of an existing arena rather than
-    /// re-decoded. Returns the face index.
+    /// [`SignaturePlanes::push_packed`] without the plane-shape checks —
+    /// the churn-repair path, where the planes are masked bit-moves out of
+    /// an already-validated arena. Disjoint planes and clear padding hold
+    /// *by construction* there, so they are debug assertions: the
+    /// churn-repair differential tests exercise them, and release repairs
+    /// do not pay a validation sweep per surviving face. Returns the face
+    /// index.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatches (word/component counts) or after chunks
-    /// are built. The plane-shape invariants of
-    /// [`SignaturePlanes::push_packed`] — disjoint planes, clear padding,
-    /// component/plane agreement — hold *by construction* on this
-    /// crate-internal path (the inputs are masked copies out of an
-    /// already-validated arena), so they are debug assertions here: the
-    /// churn-repair differential tests exercise them, and release repairs
-    /// do not pay a validation sweep per surviving face.
-    pub(crate) fn push_raw(&mut self, plus: &[u64], minus: &[u64], comps: &[i8]) -> usize {
+    /// Panics on word-count mismatches or after chunks are built.
+    pub(crate) fn push_raw(&mut self, plus: &[u64], minus: &[u64]) -> usize {
         assert_eq!(plus.len(), self.words, "plus plane has wrong word count");
         assert_eq!(minus.len(), self.words, "minus plane has wrong word count");
-        assert_eq!(comps.len(), self.dim, "component row has wrong length");
-        assert!(
-            !self.has_chunks(),
-            "cannot append faces after chunk summaries are built"
-        );
+        self.assert_open();
         let pad = self.padding_mask();
         debug_assert!(
             (0..self.words).all(|w| {
@@ -414,18 +387,17 @@ impl SignaturePlanes {
             }),
             "overlapping signature planes or padding bits set"
         );
-        debug_assert!(
-            comps.iter().enumerate().all(|(i, &c)| {
-                let (w, b) = (i / 64, i % 64);
-                c == (plus[w] >> b & 1) as i8 - (minus[w] >> b & 1) as i8
-            }),
-            "component row disagrees with the bit planes"
-        );
         self.plus.extend_from_slice(plus);
         self.minus.extend_from_slice(minus);
-        self.comps.extend_from_slice(comps);
         self.faces += 1;
         self.faces - 1
+    }
+
+    fn assert_open(&self) {
+        assert!(
+            !self.has_chunks(),
+            "cannot append faces after chunk summaries are built"
+        );
     }
 
     /// Mask of the unused high bits of the last word per face (zero when
@@ -456,35 +428,78 @@ impl SignaturePlanes {
         self.words
     }
 
+    /// Arena slot of face `f`.
+    #[inline]
+    fn slot(&self, f: usize) -> usize {
+        if self.chunks.slot_of.is_empty() {
+            f
+        } else {
+            self.chunks.slot_of[f] as usize
+        }
+    }
+
+    /// The `(plus, minus)` planes stored in arena slot `s`.
+    #[inline]
+    fn slot_planes(&self, s: usize) -> (&[u64], &[u64]) {
+        let w = self.words;
+        (
+            &self.plus[s * w..(s + 1) * w],
+            &self.minus[s * w..(s + 1) * w],
+        )
+    }
+
     /// `+1` bit-plane of face `f`.
     #[inline]
     pub fn plus(&self, f: usize) -> &[u64] {
-        &self.plus[f * self.words..(f + 1) * self.words]
+        self.slot_planes(self.slot(f)).0
     }
 
     /// `−1` bit-plane of face `f`.
     #[inline]
     pub fn minus(&self, f: usize) -> &[u64] {
-        &self.minus[f * self.words..(f + 1) * self.words]
+        self.slot_planes(self.slot(f)).1
     }
 
-    /// Raw ternary components of face `f` (the extended-kernel row).
-    #[inline]
-    pub fn components(&self, f: usize) -> &[i8] {
-        &self.comps[f * self.dim..(f + 1) * self.dim]
+    /// `true` if no component of face `f` is `0` (`plus | minus` covers
+    /// all `dim` bits): a "certain" face in the sense of the
+    /// sequence-based baselines.
+    pub fn is_certain(&self, f: usize) -> bool {
+        let (p, m) = self.slot_planes(self.slot(f));
+        let pad = self.padding_mask();
+        (0..self.words).all(|w| {
+            let unused = if w + 1 == self.words { pad } else { 0 };
+            (p[w] | m[w] | unused) == !0
+        })
     }
 
-    /// Reconstructs the signature of face `f` as an owned vector.
+    /// Decodes face `f`'s components into `out` as two's-complement bytes
+    /// (`1`, `0`, `0xFF`) — the byte form the codec writes and the replay
+    /// digest folds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.dim()`.
+    pub fn component_bytes(&self, f: usize, out: &mut [u8]) {
+        assert_eq!(out.len(), self.dim, "component buffer has wrong length");
+        let (gp, gm) = self.slot_planes(self.slot(f));
+        for (w, word) in out.chunks_mut(64).enumerate() {
+            // The last word may hold fewer than 64 components.
+            word.copy_from_slice(&decode_word(gp[w], gm[w])[..word.len()]);
+        }
+    }
+
+    /// Decodes the signature of face `f` as an owned vector.
     pub fn signature(&self, f: usize) -> SignatureVector {
-        // Arena components are validated on entry (`push_signature` /
-        // `push_packed` assertions), so skip per-component re-validation.
-        SignatureVector::from_trusted(self.components(f).to_vec())
+        let mut bytes = vec![0u8; self.dim];
+        self.component_bytes(f, &mut bytes);
+        // Arena planes are validated on entry (`push_packed` assertions,
+        // in-range `push_components` rows), so skip re-validation.
+        SignatureVector::from_trusted(bytes.into_iter().map(|b| b as i8).collect())
     }
 
     /// Heap bytes held by the arena, chunk summaries included.
     pub fn memory_bytes(&self) -> usize {
         (self.plus.capacity() + self.minus.capacity()) * std::mem::size_of::<u64>()
-            + self.comps.capacity()
             + self.chunks.memory_bytes()
     }
 
@@ -506,6 +521,32 @@ impl SignaturePlanes {
             "face index {f} out of range ({} faces)",
             self.faces
         );
+        self.slot_distance(self.slot(f), query)
+    }
+
+    /// `(face, d²)` for every face, in arena order — the sequential sweep
+    /// of the exhaustive matcher. Once chunks are built the face ids come
+    /// out in chunk order, not ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query dimension differs.
+    pub fn scan<'a>(&'a self, query: &'a PackedQuery) -> impl Iterator<Item = (u32, f64)> + 'a {
+        assert_eq!(query.dim, self.dim, "query/plane dimension mismatch");
+        (0..self.faces).map(move |s| {
+            let f = if self.chunks.face_order.is_empty() {
+                s as u32
+            } else {
+                self.chunks.face_order[s]
+            };
+            (f, self.slot_distance(s, query))
+        })
+    }
+
+    /// The distance kernel on arena slot `s`.
+    #[inline]
+    fn slot_distance(&self, s: usize, query: &PackedQuery) -> f64 {
+        let (gp, gm) = self.slot_planes(s);
         match &query.kind {
             QueryKind::Ternary {
                 plus,
@@ -518,26 +559,24 @@ impl SignaturePlanes {
                 // lanes group the words — and the sparse gather, which
                 // only skips provably-zero words, is bit-identical to
                 // both.
-                let base = f * self.words;
-                let (gp, gm) = (
-                    &self.plus[base..base + self.words],
-                    &self.minus[base..base + self.words],
-                );
                 let d2 = match active {
                     Some(active) => simd::d2_ternary_sparse(gp, gm, plus, minus, present, active),
                     None => simd::d2_ternary(gp, gm, plus, minus, present),
                 };
                 d2 as f64
             }
-            QueryKind::Extended { vals, mask } => {
-                let row = &self.comps[f * self.dim..(f + 1) * self.dim];
+            QueryKind::Extended { terms } => {
                 let mut acc = 0.0f64;
-                // Accumulated strictly in pair order: a masked term is
-                // exactly 0.0, so the partial sums match the scalar
-                // reference bit-for-bit.
-                for i in 0..self.dim {
-                    let d = (vals[i] - row[i] as f64) * mask[i];
-                    acc += d * d;
+                // Decoded a word (64 components) at a time, each picking its
+                // precomputed term, and accumulated strictly in pair order,
+                // so the partial sums match the scalar reference
+                // bit-for-bit.
+                for (w, terms) in terms.chunks(64).enumerate() {
+                    let comps = decode_word(gp[w], gm[w]);
+                    for (t, &c) in terms.iter().zip(&comps) {
+                        // Component −1, 0, +1 (bytes 0xFF, 0, 1) → 0, 1, 2.
+                        acc += t[usize::from(c.wrapping_add(1)).min(2)];
+                    }
                 }
                 acc
             }
@@ -548,12 +587,13 @@ impl SignaturePlanes {
     /// belongs to chunk `(super_of[f], chunk_of[f])` and that chunk to
     /// super-chunk `super_of[f]`. Keys need not be dense — chunks are
     /// compacted in ascending `(super, chunk)` key order (so a super's
-    /// chunks are contiguous), faces ascending within a chunk. Freezes
-    /// the arena: no more faces can be appended afterwards.
+    /// chunks are contiguous), faces ascending within a chunk. The arena
+    /// is re-laid out in that order, and frozen: no more faces can be
+    /// appended afterwards.
     ///
     /// Deterministic: the same faces and assignments always produce the
-    /// same summaries, so structures rebuilt from a codec round-trip
-    /// compare equal.
+    /// same layout and summaries, so structures rebuilt from a codec
+    /// round-trip compare equal.
     ///
     /// # Panics
     ///
@@ -579,11 +619,14 @@ impl SignaturePlanes {
 
         let mut ch = PlaneChunks {
             face_order: order,
+            slot_of: vec![0; self.faces],
             ..PlaneChunks::default()
         };
         ch.starts.push(0);
         ch.super_starts.push(0);
         let w = self.words;
+        let mut plus = Vec::with_capacity(self.faces * w);
+        let mut minus = Vec::with_capacity(self.faces * w);
         let n = ch.face_order.len();
         let mut i = 0usize;
         while i < n {
@@ -596,15 +639,14 @@ impl SignaturePlanes {
                     && super_of[ch.face_order[i] as usize] == skey
                     && chunk_of[ch.face_order[i] as usize] == ckey
                 {
+                    // Slots are still face ids until the new arena lands.
                     let f = ch.face_order[i] as usize;
-                    let (fp, fm) = (
-                        &self.plus[f * w..(f + 1) * w],
-                        &self.minus[f * w..(f + 1) * w],
-                    );
+                    let (fp, fm) = self.slot_planes(f);
                     ch.env.absorb(cbase, fp, fm);
                     ch.super_env.absorb(sbase, fp, fm);
-                    ch.lanes.extend_from_slice(fp);
-                    ch.lanes.extend_from_slice(fm);
+                    plus.extend_from_slice(fp);
+                    minus.extend_from_slice(fm);
+                    ch.slot_of[f] = i as u32;
                     i += 1;
                 }
                 ch.starts.push(i as u32);
@@ -613,12 +655,15 @@ impl SignaturePlanes {
         }
         ch.shrink_to_fit();
         // Addresses are final after the shrink; ask for huge-page backing
-        // of everything the matcher streams per query (the chunk-ordered
-        // lanes, both envelope levels, and the main plane arenas, which
-        // the bound/eval kernels still touch for exhaustive fallbacks).
-        ch.advise_hugepages();
-        hugepages::advise(&self.plus);
-        hugepages::advise(&self.minus);
+        // of everything the matcher streams per query. At scale the arena
+        // spans hundreds of megabytes, and candidate sweeps are dTLB-bound
+        // on 4 KiB pages.
+        ch.env.advise_hugepages();
+        ch.super_env.advise_hugepages();
+        hugepages::advise(&plus);
+        hugepages::advise(&minus);
+        self.plus = plus;
+        self.minus = minus;
         self.chunks = ch;
     }
 
@@ -771,29 +816,15 @@ impl SignaturePlanes {
             "face index {f} out of range ({} faces)",
             self.faces
         );
-        match &query.kind {
-            QueryKind::Ternary { .. } => {
-                let base = f * self.words;
-                let (gp, gm) = (
-                    &self.plus[base..base + self.words],
-                    &self.minus[base..base + self.words],
-                );
-                Self::ternary_within(gp, gm, query, cutoff)
-            }
-            QueryKind::Extended { .. } => {
-                let d = self.distance_squared(f, query);
-                (d <= cutoff).then_some(d)
-            }
-        }
+        self.slot_distance_within(self.slot(f), query, cutoff)
     }
 
     /// [`distance_squared_within`](SignaturePlanes::distance_squared_within)
     /// for the face in *slot* `slot` of chunk `c` (its id is
-    /// `chunk_faces(c)[slot]`), read from the chunk-ordered lane copy of
-    /// the planes: consecutive slots are consecutive in memory, so a leaf
-    /// scan streams sequentially instead of gathering faces scattered
-    /// across the main arena. Bit-identical to calling
-    /// `distance_squared_within` on the face id.
+    /// `chunk_faces(c)[slot]`). A chunk's faces are consecutive in the
+    /// arena, so a leaf scan streams sequentially instead of gathering
+    /// faces by id. Bit-identical to calling `distance_squared_within` on
+    /// the face id.
     ///
     /// # Panics
     ///
@@ -807,32 +838,16 @@ impl SignaturePlanes {
         cutoff: f64,
     ) -> Option<f64> {
         assert_eq!(query.dim, self.dim, "query/plane dimension mismatch");
-        let faces = self.chunk_faces(c);
+        let faces = self.chunk_faces(c).len();
         assert!(
-            slot < faces.len(),
-            "slot {slot} out of range ({} faces in chunk {c})",
-            faces.len()
+            slot < faces,
+            "slot {slot} out of range ({faces} faces in chunk {c})"
         );
-        match &query.kind {
-            QueryKind::Ternary { .. } => {
-                let pos = self.chunks.starts[c] as usize + slot;
-                let (gp, gm) = self.chunks.lane(pos, self.words);
-                Self::ternary_within(gp, gm, query, cutoff)
-            }
-            QueryKind::Extended { .. } => {
-                let d = self.distance_squared(faces[slot] as usize, query);
-                (d <= cutoff).then_some(d)
-            }
-        }
+        self.slot_distance_within(self.chunks.starts[c] as usize + slot, query, cutoff)
     }
 
-    /// The early-exit ternary kernel shared by
-    /// [`distance_squared_within`](SignaturePlanes::distance_squared_within)
-    /// and
-    /// [`chunk_slot_distance_within`](SignaturePlanes::chunk_slot_distance_within):
-    /// `gp`/`gm` are the face's plus/minus planes, wherever they are
-    /// stored.
-    fn ternary_within(gp: &[u64], gm: &[u64], query: &PackedQuery, cutoff: f64) -> Option<f64> {
+    /// The early-exit kernel on arena slot `s`.
+    fn slot_distance_within(&self, s: usize, query: &PackedQuery, cutoff: f64) -> Option<f64> {
         let QueryKind::Ternary {
             plus,
             minus,
@@ -840,8 +855,10 @@ impl SignaturePlanes {
             active,
         } = &query.kind
         else {
-            unreachable!("ternary_within requires a ternary query");
+            let d = self.slot_distance(s, query);
+            return (d <= cutoff).then_some(d);
         };
+        let (gp, gm) = self.slot_planes(s);
         // Sparse queries touch so few words that the gathered sum is
         // cheaper than any partial-sum bookkeeping.
         if let Some(active) = active {
@@ -855,9 +872,9 @@ impl SignaturePlanes {
 /// A sampling vector pre-packed for the plane kernels.
 ///
 /// Basic (ternary) vectors become three bit-masks (`plus`/`minus`/
-/// `present`); extended vectors become a flat value row plus a
-/// `{0.0, 1.0}` presence mask. Build once per localization, reuse across
-/// every face.
+/// `present`); extended vectors become a per-pair table of the three
+/// squared terms a face component can select. Build once per
+/// localization, reuse across every face.
 #[derive(Debug, Clone)]
 pub struct PackedQuery {
     dim: usize,
@@ -877,10 +894,11 @@ enum QueryKind {
         /// plane, restricting any kernel to these words is exact.
         active: Option<Vec<u32>>,
     },
-    Extended {
-        vals: Vec<f64>,
-        mask: Vec<f64>,
-    },
+    /// Per pair, the squared term `((v − c)·k)²` for a face component
+    /// `c = −1, 0, +1`, where `v` is the query value (0 for `*`) and `k`
+    /// its `{0.0, 1.0}` presence: the exact f64 the scalar reference adds
+    /// for that pair, so a face's distance is a sum of lookups.
+    Extended { terms: Vec<[f64; 3]> },
 }
 
 impl PackedQuery {
@@ -921,15 +939,20 @@ impl PackedQuery {
                 },
             }
         } else {
-            let mut vals = Vec::with_capacity(dim);
-            let mut mask = Vec::with_capacity(dim);
-            for c in v.components() {
-                vals.push(c.unwrap_or(0.0));
-                mask.push(if c.is_some() { 1.0 } else { 0.0 });
-            }
+            let terms = v
+                .components()
+                .iter()
+                .map(|c| {
+                    let (v, k) = (c.unwrap_or(0.0), if c.is_some() { 1.0 } else { 0.0 });
+                    [-1.0, 0.0, 1.0].map(|g: f64| {
+                        let d = (v - g) * k;
+                        d * d
+                    })
+                })
+                .collect();
             Self {
                 dim,
-                kind: QueryKind::Extended { vals, mask },
+                kind: QueryKind::Extended { terms },
             }
         }
     }
@@ -1022,7 +1045,94 @@ mod tests {
         b.push_packed(a.plus(0), a.minus(0));
         assert_eq!(a, b);
         assert_eq!(b.signature(0), sig);
-        assert_eq!(b.components(0), sig.components());
+        let mut bytes = [0u8; 5];
+        b.component_bytes(0, &mut bytes);
+        assert_eq!(bytes, [1, 0, 0xFF, 1, 0xFF]);
+    }
+
+    #[test]
+    fn certainty_is_a_plane_test() {
+        // 70 components span two words, so the padding of the last word
+        // must not count as a `0` component.
+        let mut comps = vec![1i8; 70];
+        comps[69] = -1;
+        let certain = SignatureVector::new(comps.clone());
+        comps[64] = 0;
+        let uncertain = SignatureVector::new(comps);
+        let planes = planes_of(&[certain, uncertain]);
+        assert!(planes.is_certain(0));
+        assert!(!planes.is_certain(1));
+    }
+
+    /// Chunking re-lays the arena out in chunk order; every face-id view —
+    /// planes, decoded signatures, both distance kernels, the storage-order
+    /// scan — must be unchanged by it.
+    #[test]
+    fn chunk_order_is_invisible_through_face_ids() {
+        let dim = 70;
+        let sigs: Vec<SignatureVector> = (0..7)
+            .map(|s| SignatureVector::new((0..dim).map(|i| ((i * s + s) % 3) as i8 - 1).collect()))
+            .collect();
+        let flat = planes_of(&sigs);
+        let mut chunked = flat.clone();
+        chunked.build_chunks(&[3, 1, 3, 0, 1, 0, 2], &[1, 0, 1, 0, 0, 0, 1]);
+        let ternary = SamplingVector::from_ternary(
+            (0..dim)
+                .map(|i| (i % 4 != 0).then_some((i % 3) as i8 - 1))
+                .collect(),
+        );
+        let extended = SamplingVector::new(
+            (0..dim)
+                .map(|i| (i % 5 != 0).then_some(i as f64 / dim as f64 - 0.4))
+                .collect(),
+        );
+        for (f, sig) in sigs.iter().enumerate() {
+            assert_eq!(chunked.plus(f), flat.plus(f));
+            assert_eq!(chunked.minus(f), flat.minus(f));
+            assert_eq!(&chunked.signature(f), sig);
+            for v in [&ternary, &extended] {
+                let q = PackedQuery::new(v);
+                let want = difference_norm_squared(v, sig).to_bits();
+                assert_eq!(chunked.distance_squared(f, &q).to_bits(), want);
+                assert_eq!(flat.distance_squared(f, &q).to_bits(), want);
+            }
+        }
+        let ternary = PackedQuery::new(&ternary);
+        let mut scanned: Vec<(u32, f64)> = chunked.scan(&ternary).collect();
+        assert_ne!(
+            scanned.iter().map(|&(f, _)| f).collect::<Vec<_>>(),
+            (0..7).collect::<Vec<u32>>(),
+            "the scan walks chunk order, not face order"
+        );
+        scanned.sort_by_key(|&(f, _)| f);
+        assert_eq!(scanned, flat.scan(&ternary).collect::<Vec<_>>());
+    }
+
+    /// A chunked arena holds exactly one copy of each face's planes plus
+    /// the index: the envelope blocks, the slot→face order and the
+    /// face→slot table, and the chunk boundaries.
+    #[test]
+    fn chunked_memory_is_one_plane_copy_plus_the_index() {
+        let dim = 130; // 3 words per plane
+        let sigs: Vec<SignatureVector> = (0..10)
+            .map(|s| SignatureVector::new((0..dim).map(|i| ((i + s) % 3) as i8 - 1).collect()))
+            .collect();
+        let mut planes = planes_of(&sigs);
+        // 4 chunks under 2 super-chunks.
+        planes.build_chunks(
+            &[0, 0, 1, 1, 1, 2, 2, 3, 3, 3],
+            &[0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+        );
+        assert_eq!((planes.chunk_count(), planes.super_count()), (4, 2));
+        let (faces, words, u64s, u32s) = (10, 3, 8, 4);
+        let planes_bytes = faces * 2 * words * u64s;
+        let envelopes = (4 + 2) * 5 * words * u64s;
+        let order_and_slots = 2 * faces * u32s;
+        let boundaries = (4 + 1 + 2 + 1) * u32s;
+        assert_eq!(
+            planes.memory_bytes(),
+            planes_bytes + envelopes + order_and_slots + boundaries
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::fmt;
 /// vectors (Definition 4) only ever hold `{−1.0, 0.0, +1.0}`; extended
 /// vectors (Definition 10) use the whole interval.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SamplingVector {
     components: Box<[Option<f64>]>,
 }

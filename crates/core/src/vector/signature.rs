@@ -8,7 +8,6 @@ use wsn_geometry::PairRegion;
 ///
 /// `Eq + Hash` so face-map construction can group grid cells by signature.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SignatureVector {
     components: Box<[i8]>,
 }

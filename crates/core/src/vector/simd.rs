@@ -502,8 +502,8 @@ unsafe fn d2_ternary_within_avx2(
             // A single sequential face stream defeats the hardware
             // prefetcher at this machine's L3/DRAM latency; pulling the
             // face planes ~1 KiB ahead (past the slice end is fine — the
-            // pointer is never dereferenced, and in the matcher's lane
-            // arena it lands on the next face) keeps the loads pipelined.
+            // pointer is never dereferenced, and in the chunk-ordered plane
+            // arena it lands on a later face) keeps the loads pipelined.
             _mm_prefetch::<_MM_HINT_T0>(gp.as_ptr().wrapping_add(w + 512).cast());
             _mm_prefetch::<_MM_HINT_T0>(gm.as_ptr().wrapping_add(w + 512).cast());
             // SAFETY: w + 4 ≤ vec_end ≤ len of every slice; unaligned
@@ -701,13 +701,18 @@ mod tests {
     use super::*;
 
     /// Unit tests in this module mutate the process-global override;
-    /// serialize them (integration suites run in their own processes).
-    fn with_forced<T>(k: Option<KernelKind>, f: impl FnOnce() -> T) -> T {
+    /// every test that forces a kernel or reads the active one holds this
+    /// lock for its whole body (integration suites run in their own
+    /// processes).
+    fn dispatch_lock() -> std::sync::MutexGuard<'static, ()> {
         use std::sync::Mutex;
         static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn with_forced<T>(k: Option<KernelKind>, f: impl FnOnce() -> T) -> T {
+        let _guard = dispatch_lock();
         assert!(force_kernel(k));
         let out = f();
         force_kernel(None);
@@ -836,14 +841,16 @@ mod tests {
 
     #[test]
     fn forcing_pins_and_releases_the_dispatch() {
-        with_forced(Some(KernelKind::Scalar), || {
-            assert_eq!(active_kernel(), KernelKind::Scalar);
-        });
+        let _guard = dispatch_lock();
+        assert!(force_kernel(Some(KernelKind::Scalar)));
+        assert_eq!(active_kernel(), KernelKind::Scalar);
+        assert!(force_kernel(None));
         assert_eq!(active_kernel(), detect());
     }
 
     #[test]
     fn unsupported_kernels_are_refused() {
+        let _guard = dispatch_lock();
         let supported = available_kernels();
         for k in [
             KernelKind::Scalar,

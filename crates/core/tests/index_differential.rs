@@ -91,7 +91,7 @@ proptest! {
         // the hardest pruning (every other chunk bound must exceed 0).
         for f in map.faces().iter().step_by(1 + map.face_count() / 8) {
             let v = SamplingVector::new(
-                f.signature.components().iter().map(|&c| Some(c as f64)).collect(),
+                map.signature(f.id).components().iter().map(|&c| Some(c as f64)).collect(),
             );
             assert_identical(&map, &v, "exact signature");
         }
@@ -190,7 +190,7 @@ fn indexed_matches_at_thousand_dimensions() {
     }
     let f = &map.faces()[map.face_count() / 2];
     let v = SamplingVector::new(
-        f.signature
+        map.signature(f.id)
             .components()
             .iter()
             .map(|&c| Some(c as f64))

@@ -45,18 +45,25 @@ fn random_extended<R: Rng + ?Sized>(dim: usize, rng: &mut R) -> SamplingVector {
     )
 }
 
-/// Asserts packed == scalar, bit-for-bit, for every face in `sigs`.
+/// Asserts packed == scalar, bit-for-bit, for every face in `sigs`, both
+/// in append order and after chunking re-lays the arena out (here in
+/// reverse face order, one face per chunk).
 fn assert_differential(dim: usize, sigs: &[SignatureVector], v: &SamplingVector) {
     let planes = SignaturePlanes::from_signatures(dim, sigs.iter());
+    let mut chunked = planes.clone();
+    let reverse: Vec<u32> = (0..sigs.len() as u32).rev().collect();
+    chunked.build_chunks(&reverse, &vec![0; sigs.len()]);
     let q = PackedQuery::new(v);
     for (f, sig) in sigs.iter().enumerate() {
-        let packed = planes.distance_squared(f, &q);
         let scalar = difference_norm_squared(v, sig);
-        assert_eq!(
-            packed.to_bits(),
-            scalar.to_bits(),
-            "dim {dim} face {f}: packed {packed} != scalar {scalar}"
-        );
+        for (layout, arena) in [("appended", &planes), ("chunked", &chunked)] {
+            let packed = arena.distance_squared(f, &q);
+            assert_eq!(
+                packed.to_bits(),
+                scalar.to_bits(),
+                "dim {dim} face {f} ({layout}): packed {packed} != scalar {scalar}"
+            );
+        }
     }
 }
 
@@ -93,7 +100,10 @@ proptest! {
         let sig = random_signature(dim, &mut rng);
         let planes = SignaturePlanes::from_signatures(dim, [&sig]);
         prop_assert_eq!(planes.signature(0), sig.clone());
-        prop_assert_eq!(planes.components(0), sig.components());
+        let mut bytes = vec![0u8; dim];
+        planes.component_bytes(0, &mut bytes);
+        let want: Vec<u8> = sig.components().iter().map(|&c| c as u8).collect();
+        prop_assert_eq!(bytes, want);
     }
 }
 

@@ -114,7 +114,7 @@ proptest! {
         let total: usize = map.faces().iter().map(|f| f.cell_count).sum();
         prop_assert_eq!(total, map.grid().cell_count());
         for f in map.faces() {
-            prop_assert_eq!(map.find_by_signature(&f.signature), Some(f.id));
+            prop_assert_eq!(map.find_by_signature(&map.signature(f.id)), Some(f.id));
             prop_assert!(field.contains(f.centroid));
             prop_assert!(f.bbox.contains(f.centroid));
             for &nb in map.neighbors(f.id) {
@@ -126,7 +126,7 @@ proptest! {
         for (_, center) in map.grid().iter_centers().step_by(7) {
             let id = map.face_at(center).unwrap();
             prop_assert_eq!(
-                map.face(id).signature.clone(),
+                map.signature(id),
                 signature_of(center, &positions, c)
             );
         }
@@ -156,11 +156,11 @@ proptest! {
         let v = SamplingVector::new(comps);
         let out = match_exhaustive(&map, &v);
         for f in map.faces() {
-            prop_assert!(similarity(&v, &f.signature) <= out.similarity);
+            prop_assert!(similarity(&v, &map.signature(f.id)) <= out.similarity);
         }
         // Ties really are ties.
         for &id in &out.ties {
-            prop_assert_eq!(similarity(&v, &map.face(id).signature), out.similarity);
+            prop_assert_eq!(similarity(&v, &map.signature(id)), out.similarity);
         }
         // The heuristic never reports a better-than-optimal similarity.
         let h = match_heuristic(&map, &v, map.center_face());

@@ -15,7 +15,6 @@ use crate::point::Point;
 /// Index of one grid cell: column `ix`, row `iy`, both zero-based from the
 /// lower-left corner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellIndex {
     /// Column (x direction).
     pub ix: u32,
@@ -33,7 +32,6 @@ impl CellIndex {
 
 /// An immutable square-cell lattice covering a rectangle.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grid {
     rect: Rect,
     cell: f64,

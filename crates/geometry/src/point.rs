@@ -5,7 +5,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point in the monitored plane, in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (metres).
     pub x: f64,
@@ -15,7 +14,6 @@ pub struct Point {
 
 /// A displacement between two [`Point`]s, in metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     /// Horizontal component (metres).
     pub x: f64,

@@ -7,7 +7,6 @@ use wsn_geometry::Point;
 
 /// A deterministic sequence of waypoints walked leg by leg.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WaypointPath {
     waypoints: Vec<Point>,
 }

@@ -4,7 +4,6 @@ use wsn_geometry::Point;
 
 /// One trajectory sample: the target was at `pos` at time `t` (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimedPoint {
     /// Time in seconds.
     pub t: f64,
@@ -23,7 +22,6 @@ impl TimedPoint {
 /// A target trajectory: a non-empty sequence of [`TimedPoint`]s with
 /// strictly increasing timestamps, interpolated linearly between samples.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     points: Vec<TimedPoint>,
 }

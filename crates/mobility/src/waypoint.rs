@@ -8,7 +8,6 @@ use wsn_geometry::{Point, Rect};
 /// the field, walks there in a straight line at a uniform-random speed, and
 /// optionally pauses before the next leg.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomWaypoint {
     /// Field the target roams in.
     pub field: Rect,

@@ -16,7 +16,6 @@ use wsn_signal::Gaussian;
 
 /// A sensor→sink uplink with loss, latency and a delivery deadline.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Uplink {
     /// Probability an entire message is lost.
     pub loss_prob: f64,

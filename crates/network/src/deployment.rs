@@ -9,7 +9,6 @@ use wsn_geometry::{Point, Rect};
 /// IDs are always dense `0..n` in construction order, which fixes the
 /// canonical pair enumeration (see [`crate::pairs`]).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Deployment {
     nodes: Vec<SensorNode>,
     field: Rect,

@@ -12,7 +12,6 @@ use crate::sampling::GroupSampling;
 /// Energy prices, in joules, loosely calibrated to an IRIS-class mote
 /// (≈8 mA active at 3 V, ≈17 mA radio TX).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyModel {
     /// Energy per one-shot RSS acquisition.
     pub per_sample: f64,
@@ -61,7 +60,6 @@ impl EnergyModel {
 
 /// Accumulated per-node energy, joules.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyLedger {
     model: EnergyModel,
     consumed: Vec<f64>,

@@ -9,7 +9,6 @@ use rand::Rng;
 
 /// A normal distribution `N(mean, std²)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gaussian {
     /// Mean of the distribution.
     pub mean: f64,

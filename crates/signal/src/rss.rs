@@ -9,7 +9,6 @@ use std::fmt;
 /// us give `Rss` a total order (what the grouping-sampling matrix sorts by)
 /// without dragging NaN case analysis through every caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rss(f64);
 
 impl Rss {

@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the suite's own artifacts.
 //!
-//! The workspace's vendored `serde_json` is a compile-only stub (offline
-//! container), so anything that needs to *read* JSON back — the
+//! The workspace carries no serialization library, so anything that
+//! needs to *read* JSON back — the
 //! `fttt-sim explain` timeline and the `perf_snapshot --check` regression
 //! gate — parses with this hand-rolled recursive-descent reader instead.
 //! It accepts exactly standard JSON (RFC 8259): objects, arrays, strings

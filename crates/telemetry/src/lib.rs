@@ -46,7 +46,7 @@
 //! JSON or JSONL ([`TraceLog`]). Metrics aggregate; the journal keeps the
 //! per-round causal story. The [`json`] module is the matching reader used
 //! by downstream tools (`fttt-sim explain`, the bench regression gate) to
-//! load these artifacts back, since the vendored serde stack cannot parse.
+//! load these artifacts back (the workspace carries no JSON library).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

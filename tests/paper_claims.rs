@@ -166,7 +166,7 @@ fn certain_faces_vanish_with_spacing() {
             .filter(|&(_, center)| window.contains(center))
             .filter(|&(_, center)| {
                 let id = map.face_at(center).unwrap();
-                map.face(id).is_certain()
+                map.is_certain(id)
             })
             .count()
     };
