@@ -17,6 +17,13 @@
 //! * match reference — the seed's exhaustive scan: per face one
 //!   `difference_norm_squared` plus a `1/√d²`, tracking the max similarity.
 //!
+//! Every build/match row also times one localization round's stages
+//! (`round_us`): Algorithm 1 through the dense kernel (`alg1_basic`,
+//! `alg1_extended`) against the per-pair [`PairEvidence::gather`] path
+//! with eq. (6) rescanning both columns per pair (`alg1_reference`,
+//! ungated), and one warm heuristic [`TrackingSession::step`]
+//! (`session_step`: Algorithm 1, match and health checks).
+//!
 //! A final `map_repair_us` row times the live-churn path at n = 40,
 //! cell 4 m: the median single-node death + revive repair, incremental
 //! (gated sub-millisecond) against the rebuild-per-event control
@@ -35,7 +42,9 @@
 
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
 use fttt::matching::{match_exhaustive, match_heuristic, match_indexed};
-use fttt::sampling::basic_sampling_vector;
+use fttt::sampling::{basic_sampling_vector, extended_sampling_vector, PairEvidence};
+use fttt::session::{SessionOptions, TrackingSession};
+use fttt::tracker::{Tracker, TrackerOptions};
 use fttt::vector::{difference_norm_squared, SamplingVector, SignatureVector};
 use fttt_bench::{Cli, Table};
 use rand::SeedableRng;
@@ -43,7 +52,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::time::Instant;
 use wsn_geometry::{CellIndex, Grid, Point, Rect};
-use wsn_network::{Deployment, GroupSampler, SensorField};
+use wsn_network::{Deployment, GroupSampler, GroupSampling, PairIter, SensorField};
 use wsn_signal::{uncertainty_constant, PathLossModel};
 
 struct Setup {
@@ -55,6 +64,8 @@ struct Setup {
     /// Every face's signature, decoded once for the scalar reference
     /// matcher (the seed kept one `SignatureVector` per face).
     signatures: Vec<SignatureVector>,
+    /// The grouping sampled at `truth` (k = 5) and its basic vector.
+    group: GroupSampling,
     vector: SamplingVector,
     truth: Point,
     /// Sampling vectors from a 10×10 grid of probe targets — the p99
@@ -62,7 +73,6 @@ struct Setup {
     probes: Vec<SamplingVector>,
 }
 
-/// Same world as `benches/matching.rs` / `benches/facemap_build.rs`.
 fn setup(n: usize, seed: u64, cell: f64) -> Setup {
     let field = Rect::square(100.0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -89,6 +99,7 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
         map,
         signatures,
         vector: basic_sampling_vector(&group),
+        group,
         truth,
         probes,
     }
@@ -180,6 +191,85 @@ fn scalar_reference_build(positions: &[Point], field: Rect, c: f64, cell_size: f
     faces.iter().map(|f| f.signature.len().min(1)).sum()
 }
 
+/// Algorithm 1 one pair at a time: eq. (6) from `node_responded` scans of
+/// both columns and the order evidence from [`PairEvidence::gather`] —
+/// the per-pair path the dense kernel replaced.
+fn reference_basic_sampling_vector(group: &GroupSampling) -> SamplingVector {
+    SamplingVector::new(
+        PairIter::new(group.node_count())
+            .map(
+                |(i, j)| match (group.node_responded(i), group.node_responded(j)) {
+                    (true, true) => {
+                        let ev = PairEvidence::gather(group, i, j);
+                        Some(if ev.sequential > 0 && ev.reverse == 0 && ev.ties == 0 {
+                            1.0
+                        } else if ev.reverse > 0 && ev.sequential == 0 && ev.ties == 0 {
+                            -1.0
+                        } else {
+                            0.0
+                        })
+                    }
+                    (true, false) => Some(1.0),
+                    (false, true) => Some(-1.0),
+                    (false, false) => None,
+                },
+            )
+            .collect(),
+    )
+}
+
+/// Per-round stage timings of one row, µs: Algorithm 1 three ways and one
+/// warm heuristic session step.
+struct RoundCols {
+    alg1_reference_us: f64,
+    alg1_basic_us: f64,
+    alg1_extended_us: f64,
+    session_step_us: f64,
+}
+
+/// Times the `round_us` group on `s`, batches of `batch` calls per round.
+/// The session is warmed by a few untimed steps of the same grouping, so
+/// every timed step climbs from the face it matched last round.
+fn time_round(s: &Setup, rounds: usize, batch: usize) -> RoundCols {
+    let tracker = Tracker::new(s.map.clone(), TrackerOptions::heuristic());
+    let mut session = TrackingSession::new(tracker, SessionOptions::new(s.group.instants()));
+    for _ in 0..4 {
+        session.step(0.0, &s.group);
+    }
+    let per_call = |r: f64| r / batch as f64 * 1e3;
+    let times = time_interleaved_ms(
+        rounds,
+        &mut [
+            &mut || {
+                for _ in 0..batch {
+                    std::hint::black_box(reference_basic_sampling_vector(&s.group));
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    std::hint::black_box(basic_sampling_vector(&s.group));
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    std::hint::black_box(extended_sampling_vector(&s.group));
+                }
+            },
+            &mut || {
+                for _ in 0..batch {
+                    std::hint::black_box(session.step(0.0, &s.group));
+                }
+            },
+        ],
+    );
+    RoundCols {
+        alg1_reference_us: per_call(times[0]),
+        alg1_basic_us: per_call(times[1]),
+        alg1_extended_us: per_call(times[2]),
+        session_step_us: per_call(times[3]),
+    }
+}
+
 /// The seed's exhaustive matcher: scalar distance and a `1/√d²` per face.
 fn scalar_reference_match(signatures: &[SignatureVector], v: &SamplingVector) -> f64 {
     let mut best = f64::NEG_INFINITY;
@@ -241,6 +331,7 @@ struct Row {
     match_heur_us: f64,
     match_indexed_us: f64,
     match_indexed_p99_us: f64,
+    round: RoundCols,
 }
 
 /// Per-probe minimum-of-rounds single-match timings, 99th percentile, µs.
@@ -313,6 +404,7 @@ fn main() {
     let big_match_rounds = if cli.fast { 2 } else { 6 };
     let big_match_batch = if cli.fast { 1 } else { 3 };
     let p99_rounds = if cli.fast { 1 } else { 3 };
+    let round_batch = if cli.fast { 5 } else { 20 };
     let threads = wsn_parallel::recommended_threads();
 
     let mut rows = Vec::new();
@@ -329,6 +421,10 @@ fn main() {
             "heur warm (µs)",
             "match idx (µs)",
             "idx p99 (µs)",
+            "alg1 ref (µs)",
+            "alg1 basic (µs)",
+            "alg1 ext (µs)",
+            "step (µs)",
         ],
     );
 
@@ -389,6 +485,7 @@ fn main() {
             batch(matches[3]),
         );
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
+        let round = time_round(&s, match_rounds, round_batch);
 
         table.row(&[
             n.to_string(),
@@ -401,6 +498,10 @@ fn main() {
             format!("{match_heur_us:.1}"),
             format!("{match_indexed_us:.1}"),
             format!("{match_indexed_p99_us:.1}"),
+            format!("{:.1}", round.alg1_reference_us),
+            format!("{:.1}", round.alg1_basic_us),
+            format!("{:.1}", round.alg1_extended_us),
+            format!("{:.1}", round.session_step_us),
         ]);
         rows.push(Row {
             n,
@@ -412,6 +513,7 @@ fn main() {
             match_heur_us,
             match_indexed_us,
             match_indexed_p99_us,
+            round,
         });
         eprintln!("[perf_snapshot] n = {n} done");
     }
@@ -447,6 +549,7 @@ fn main() {
         let (match_packed_us, match_heur_us, match_indexed_us) =
             (batch(matches[0]), batch(matches[1]), batch(matches[2]));
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
+        let round = time_round(&s, match_rounds, round_batch);
 
         table.row(&[
             n.to_string(),
@@ -459,6 +562,10 @@ fn main() {
             format!("{match_heur_us:.1}"),
             format!("{match_indexed_us:.1}"),
             format!("{match_indexed_p99_us:.1}"),
+            format!("{:.1}", round.alg1_reference_us),
+            format!("{:.1}", round.alg1_basic_us),
+            format!("{:.1}", round.alg1_extended_us),
+            format!("{:.1}", round.session_step_us),
         ]);
         rows.push(Row {
             n,
@@ -470,6 +577,7 @@ fn main() {
             match_heur_us,
             match_indexed_us,
             match_indexed_p99_us,
+            round,
         });
         eprintln!("[perf_snapshot] n = {n} done");
     }
@@ -517,6 +625,15 @@ fn main() {
                 r.match_indexed_p99_us,
             );
         }
+    }
+    for r in &rows {
+        println!(
+            "n = {:>3}: Algorithm 1 speedup (per-pair reference / dense basic) = {:.2}x, \
+             session step = {:.1} µs",
+            r.n,
+            r.round.alg1_reference_us / r.round.alg1_basic_us,
+            r.round.session_step_us,
+        );
     }
     println!(
         "map repair @ n = {}, cell {} m ({} events): incremental median = {:.1} µs, \
@@ -632,7 +749,9 @@ fn render_json(
         "    \"reference\": \"in-binary scalar seed paths: faithful port of \
          the seed serial FaceMap::build (per-cell SignatureVector, full-vector \
          hash grouping, centroid/neighbor passes) and the per-face \
-         difference_norm_squared + 1/sqrt exhaustive scan\"\n",
+         difference_norm_squared + 1/sqrt exhaustive scan; round_us.alg1_reference \
+         is Algorithm 1 per pair through PairEvidence::gather with per-pair \
+         node_responded rescans\"\n",
     );
     out.push_str("  },\n");
     out.push_str("  \"results\": [\n");
@@ -673,6 +792,24 @@ fn render_json(
         out.push_str(&format!(
             "        \"indexed_p99\": {:.3}\n",
             r.match_indexed_p99_us
+        ));
+        out.push_str("      },\n");
+        out.push_str("      \"round_us\": {\n");
+        out.push_str(&format!(
+            "        \"alg1_reference\": {:.3},\n",
+            r.round.alg1_reference_us
+        ));
+        out.push_str(&format!(
+            "        \"alg1_basic\": {:.3},\n",
+            r.round.alg1_basic_us
+        ));
+        out.push_str(&format!(
+            "        \"alg1_extended\": {:.3},\n",
+            r.round.alg1_extended_us
+        ));
+        out.push_str(&format!(
+            "        \"session_step\": {:.3}\n",
+            r.round.session_step_us
         ));
         out.push_str("      }");
         if let (Some(b), Some(match_ref)) = (&r.build, r.match_ref_us) {

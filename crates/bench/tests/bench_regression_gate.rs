@@ -26,7 +26,8 @@ fn committed_baseline_has_every_gated_metric() {
     // can't pass: the full n = 10/20/40 sweep, the match-only
     // N = 100/200 scale rows, then the trailing n = 40 live-churn repair
     // row, and (presence-driven gating) every row must actually carry
-    // the metrics it is supposed to pin.
+    // the metrics it is supposed to pin — the indexed match and the
+    // round's Algorithm-1 and session-step timings.
     let doc = baseline();
     let rows = doc.get("results").and_then(JsonValue::as_array).unwrap();
     let ns: Vec<u64> = rows
@@ -53,13 +54,19 @@ fn committed_baseline_has_every_gated_metric() {
             );
             continue;
         }
-        for metric in ["indexed", "indexed_p99"] {
+        for (group, metric) in [
+            ("match_us", "indexed"),
+            ("match_us", "indexed_p99"),
+            ("round_us", "alg1_basic"),
+            ("round_us", "alg1_extended"),
+            ("round_us", "session_step"),
+        ] {
             assert!(
-                row.get("match_us")
+                row.get(group)
                     .and_then(|m| m.get(metric))
                     .and_then(JsonValue::as_f64)
                     .is_some(),
-                "n={n}: baseline row lacks match_us.{metric}"
+                "n={n}: baseline row lacks {group}.{metric}"
             );
         }
         // Scale rows are match-only: they must not accidentally start

@@ -2,7 +2,7 @@
 //! (eq. 6) and the quantitative extension (Definition 10).
 
 use crate::vector::SamplingVector;
-use wsn_network::{pair_count, GroupSampling, PairIter};
+use wsn_network::{pair_count, GroupSampling};
 
 /// The order evidence a grouping sampling holds for one node pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,7 +22,9 @@ impl PairEvidence {
         self.sequential + self.reverse + self.ties
     }
 
-    /// Gathers the evidence for pair `(i, j)` from a sampling matrix.
+    /// Gathers the evidence for pair `(i, j)` from a sampling matrix, one
+    /// reading at a time. The vector builders count the same evidence from
+    /// a dense transpose; this per-pair form is their test oracle.
     pub fn gather(group: &GroupSampling, i: usize, j: usize) -> Self {
         let mut ev = PairEvidence::default();
         for t in 0..group.instants() {
@@ -40,22 +42,60 @@ impl PairEvidence {
     }
 }
 
-/// Computes one pair's value with a caller-supplied rule for the
-/// both-responded case; the missing-node cases follow eq. (6):
-/// `i` responded, `j` silent → `+1`; the reverse → `−1`; both silent → `*`
-/// (`None`).
-fn pair_value<F: Fn(PairEvidence) -> f64>(
-    group: &GroupSampling,
-    i: usize,
-    j: usize,
-    both: F,
-) -> Option<f64> {
-    match (group.node_responded(i), group.node_responded(j)) {
-        (true, true) => Some(both(PairEvidence::gather(group, i, j))),
-        (true, false) => Some(1.0),
-        (false, true) => Some(-1.0),
-        (false, false) => None,
+/// The order evidence of two node-major columns, counted branch-free: a
+/// NaN (missing reading) on either side drops the instant from all three
+/// counts because NaN compares false with `>`, `<` and `==`.
+#[inline]
+fn column_evidence(a: &[f64], b: &[f64]) -> PairEvidence {
+    let mut ev = PairEvidence::default();
+    for (x, y) in a.iter().zip(b) {
+        ev.sequential += usize::from(x > y);
+        ev.reverse += usize::from(x < y);
+        ev.ties += usize::from(x == y);
     }
+    ev
+}
+
+/// Algorithm 1 over every pair in canonical order, reading the matrix
+/// once: `both` gives the value of a pair whose nodes both responded, and
+/// the missing-node cases follow eq. (6): `i` responded, `j` silent →
+/// `+1`; the reverse → `−1`; both silent → `*` (`None`).
+///
+/// The row-major readings are transposed once into node-major `f64`
+/// columns with NaN for a missing reading (safe because [`Rss`] is finite
+/// by construction), and each node's responded flag is computed once, so
+/// the `O(n²·k)` pair loop touches only contiguous floats.
+///
+/// [`Rss`]: wsn_signal::Rss
+fn sampling_vector_with<F: Fn(PairEvidence) -> f64>(
+    group: &GroupSampling,
+    both: F,
+) -> SamplingVector {
+    let n = group.node_count();
+    assert!(n >= 2, "need at least two nodes for pair values");
+    let k = group.instants();
+    let mut columns = vec![f64::NAN; n * k];
+    let mut responded = vec![false; n];
+    for (t, row) in group.readings().chunks_exact(n).enumerate() {
+        for (j, reading) in row.iter().enumerate() {
+            if let Some(rss) = reading {
+                columns[j * k + t] = rss.dbm();
+                responded[j] = true;
+            }
+        }
+    }
+    let mut comps = Vec::with_capacity(pair_count(n));
+    for (i, a) in columns.chunks_exact(k).enumerate() {
+        for (j, b) in columns.chunks_exact(k).enumerate().skip(i + 1) {
+            comps.push(match (responded[i], responded[j]) {
+                (true, true) => Some(both(column_evidence(a, b))),
+                (true, false) => Some(1.0),
+                (false, true) => Some(-1.0),
+                (false, false) => None,
+            });
+        }
+    }
+    SamplingVector::new(comps)
 }
 
 /// Algorithm 1 + eq. (6): the basic ternary sampling vector.
@@ -89,21 +129,15 @@ fn pair_value<F: Fn(PairEvidence) -> f64>(
 ///
 /// Panics if `group` has fewer than two node columns.
 pub fn basic_sampling_vector(group: &GroupSampling) -> SamplingVector {
-    let n = group.node_count();
-    assert!(n >= 2, "need at least two nodes for pair values");
-    let mut comps = Vec::with_capacity(pair_count(n));
-    for (i, j) in PairIter::new(n) {
-        comps.push(pair_value(group, i, j, |ev| {
-            if ev.sequential > 0 && ev.reverse == 0 && ev.ties == 0 {
-                1.0
-            } else if ev.reverse > 0 && ev.sequential == 0 && ev.ties == 0 {
-                -1.0
-            } else {
-                0.0
-            }
-        }));
-    }
-    SamplingVector::new(comps)
+    sampling_vector_with(group, |ev| {
+        if ev.sequential > 0 && ev.reverse == 0 && ev.ties == 0 {
+            1.0
+        } else if ev.reverse > 0 && ev.sequential == 0 && ev.ties == 0 {
+            -1.0
+        } else {
+            0.0
+        }
+    })
 }
 
 /// Definition 10: the extended (quantitative) sampling vector.
@@ -118,20 +152,14 @@ pub fn basic_sampling_vector(group: &GroupSampling) -> SamplingVector {
 ///
 /// Panics if `group` has fewer than two node columns.
 pub fn extended_sampling_vector(group: &GroupSampling) -> SamplingVector {
-    let n = group.node_count();
-    assert!(n >= 2, "need at least two nodes for pair values");
-    let mut comps = Vec::with_capacity(pair_count(n));
-    for (i, j) in PairIter::new(n) {
-        comps.push(pair_value(group, i, j, |ev| {
-            let common = ev.common();
-            if common == 0 {
-                0.0
-            } else {
-                (ev.sequential as f64 - ev.reverse as f64) / common as f64
-            }
-        }));
-    }
-    SamplingVector::new(comps)
+    sampling_vector_with(group, |ev| {
+        let common = ev.common();
+        if common == 0 {
+            0.0
+        } else {
+            (ev.sequential as f64 - ev.reverse as f64) / common as f64
+        }
+    })
 }
 
 #[cfg(test)]

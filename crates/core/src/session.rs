@@ -345,7 +345,9 @@ impl TrackingSession {
     ///
     /// `group` should have been sampled with [`requested_samples`]
     /// columns of `k` readings, but any grouping is accepted — the monitor
-    /// judges what arrived, not what was asked for.
+    /// judges what arrived, not what was asked for. The round runs
+    /// Algorithm 1 once: the health checks and the match share one
+    /// sampling vector.
     ///
     /// [`requested_samples`]: TrackingSession::requested_samples
     pub fn step(&mut self, t: f64, group: &GroupSampling) -> SessionRound {
@@ -354,23 +356,20 @@ impl TrackingSession {
         let round_index = self.round_index;
         self.round_index += 1;
         let v = self.tracker.sampling_vector(group);
-        let missing_fraction = if v.is_empty() {
-            1.0
-        } else {
-            v.unknown_count() as f64 / v.len() as f64
-        };
-        let known = v.len() - v.unknown_count();
+        let unknown = v.unknown_count();
+        let missing_fraction = unknown as f64 / v.len() as f64;
+        let known = v.len() - unknown;
         let zero_fraction = if known == 0 {
             0.0
         } else {
             v.components().iter().filter(|c| **c == Some(0.0)).count() as f64 / known as f64
         };
-        let blackout = v.is_empty() || v.unknown_count() == v.len();
+        let blackout = known == 0;
 
         if blackout {
             // Nothing to match against: matching an all-`*` vector ties
             // every face and would report the field centre. Hold instead.
-            let estimate = self.hold_estimate(group);
+            let estimate = self.hold_estimate();
             self.record_unhealthy();
             self.escalate_samples(group);
             let round = SessionRound {
@@ -402,9 +401,9 @@ impl TrackingSession {
         let reacquired = self.force_reacquire;
         let (estimate, outcome) = if reacquired {
             self.force_reacquire = false;
-            self.tracker.reacquire(group)
+            self.tracker.reacquire(&v)
         } else {
-            self.tracker.localize(group)
+            self.tracker.localize(&v)
         };
 
         // Health checks.
@@ -437,7 +436,7 @@ impl TrackingSession {
         // itself: a Lost session's fresh estimates are exactly the ones
         // the checks just rejected.
         let (reported, held) = if self.status == TrackStatus::Lost && !healthy {
-            (self.hold_estimate(group), true)
+            (self.hold_estimate(), true)
         } else {
             self.last_reported = Some(estimate);
             (estimate, false)
@@ -585,13 +584,12 @@ impl TrackingSession {
         report
     }
 
-    fn hold_estimate(&self, group: &GroupSampling) -> Point {
+    fn hold_estimate(&self) -> Point {
         self.last_reported
             .or(self.last_trusted.map(|(_, p)| p))
             // A session born into blackout has nothing to hold; the map
             // centre is the only defensible prior.
             .unwrap_or_else(|| {
-                let _ = group;
                 self.tracker
                     .map()
                     .face(self.tracker.map().center_face())

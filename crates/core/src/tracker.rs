@@ -220,6 +220,10 @@ impl Tracker {
     /// projected onto the map's live pair set — after churn the grouping
     /// still reports all deployment pairs, but only planes of live pairs
     /// partition the field, so dead pairs' components must not vote.
+    ///
+    /// This is the round's one Algorithm-1 pass: callers build the vector
+    /// once and hand it to [`Tracker::localize`] or [`Tracker::reacquire`]
+    /// (and to any health checks of their own).
     pub fn sampling_vector(&self, group: &GroupSampling) -> SamplingVector {
         let v = if self.options.extended {
             extended_sampling_vector(group)
@@ -262,15 +266,16 @@ impl Tracker {
         (report, warm_exact)
     }
 
-    /// Localizes one grouping sampling; returns the estimate and the raw
-    /// match outcome. Updates the warm-start state.
-    pub fn localize(&mut self, group: &GroupSampling) -> (Point, MatchOutcome) {
-        let v = self.sampling_vector(group);
+    /// Localizes one round from its sampling vector `v`, as built by
+    /// [`Tracker::sampling_vector`] — the caller builds it once per round.
+    /// Returns the estimate and the raw match outcome, and updates the
+    /// warm-start state.
+    pub fn localize(&mut self, v: &SamplingVector) -> (Point, MatchOutcome) {
         let outcome = match self.options.matching {
-            Matching::Exhaustive => match_indexed(&self.map, &v),
+            Matching::Exhaustive => match_indexed(&self.map, v),
             Matching::Heuristic { reacquire_ratio } => {
                 let start = self.previous.unwrap_or_else(|| self.map.center_face());
-                let out = match_heuristic(&self.map, &v, start);
+                let out = match_heuristic(&self.map, v, start);
                 let stranded = reacquire_ratio.is_some_and(|r| {
                     self.rolling_median_similarity()
                         .is_some_and(|median| out.similarity < r * median)
@@ -286,7 +291,7 @@ impl Tracker {
                             ],
                         );
                     }
-                    let mut ex = match_indexed(&self.map, &v);
+                    let mut ex = match_indexed(&self.map, v);
                     ex.evaluated += out.evaluated;
                     ex
                 } else {
@@ -300,13 +305,14 @@ impl Tracker {
         (estimate, outcome)
     }
 
-    /// Localizes one grouping sampling with a forced full-accuracy
-    /// (indexed) match, regardless of the configured matching mode, and rebases the warm start on the
-    /// result. The session layer's recovery ladder uses this when the
-    /// heuristic climb is suspected of being stranded.
-    pub fn reacquire(&mut self, group: &GroupSampling) -> (Point, MatchOutcome) {
-        let v = self.sampling_vector(group);
-        let outcome = match_indexed(&self.map, &v);
+    /// Localizes one round from its sampling vector `v` (built once by the
+    /// caller with [`Tracker::sampling_vector`]) with a forced
+    /// full-accuracy (indexed) match, regardless of the configured
+    /// matching mode, and rebases the warm start on the result. The
+    /// session layer's recovery ladder uses this when the heuristic climb
+    /// is suspected of being stranded.
+    pub fn reacquire(&mut self, v: &SamplingVector) -> (Point, MatchOutcome) {
+        let outcome = match_indexed(&self.map, v);
         self.record_similarity(outcome.similarity);
         self.previous = Some(outcome.face);
         let estimate = self.resolve_estimate(&outcome);
@@ -344,7 +350,7 @@ impl Tracker {
         let mut localizations = Vec::with_capacity(trace.len());
         for p in trace.points() {
             let group = transform(sampler.sample(field, p.pos, rng), rng);
-            let (estimate, outcome) = self.localize(&group);
+            let (estimate, outcome) = self.localize(&self.sampling_vector(&group));
             localizations.push(Localization {
                 t: p.t,
                 truth: p.pos,
@@ -494,7 +500,7 @@ mod tests {
         let mut tracker = Tracker::new(map, TrackerOptions::heuristic());
         assert!(tracker.previous.is_none());
         let group = sampler.sample(&field, Point::new(50.0, 50.0), &mut rng(6));
-        let _ = tracker.localize(&group);
+        let _ = tracker.localize(&tracker.sampling_vector(&group));
         assert!(tracker.previous.is_some());
         tracker.reset();
         assert!(tracker.previous.is_none());
@@ -539,7 +545,7 @@ mod tests {
         assert!(!a.map().is_node_live(3));
         assert!(b.map().is_node_live(3));
         let group = sampler.sample(&field, Point::new(50.0, 50.0), &mut rng(9));
-        let (estimate, _) = b.localize(&group);
+        let (estimate, _) = b.localize(&b.sampling_vector(&group));
         assert!(estimate.x.is_finite() && estimate.y.is_finite());
     }
 

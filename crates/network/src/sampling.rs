@@ -103,6 +103,13 @@ impl GroupSampling {
         self.readings[instant * self.nodes + node] = value;
     }
 
+    /// Every reading in row-major order: instant `t`'s row is
+    /// `readings()[t * node_count()..(t + 1) * node_count()]`.
+    #[inline]
+    pub fn readings(&self) -> &[Option<Rss>] {
+        &self.readings
+    }
+
     /// Column of node `node` across all instants.
     pub fn column(&self, node: usize) -> impl Iterator<Item = Option<Rss>> + '_ {
         assert!(node < self.nodes, "node index out of range");
