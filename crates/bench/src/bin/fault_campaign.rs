@@ -148,7 +148,8 @@ fn main() {
     violations.extend(check_churn_digests(&stats.cells, &stats.stats));
     let json = render_json(&rows, &cfg, &violations, Some(&metrics), Some(checksum));
     let path = "BENCH_robustness.json";
-    std::fs::write(path, json).expect("write BENCH_robustness.json");
+    wsn_telemetry::write_file_atomic(Path::new(path), json.as_bytes())
+        .expect("write BENCH_robustness.json");
     println!("wrote {path}");
 
     if violations.is_empty() {
@@ -194,7 +195,7 @@ fn run_shard(
         stats.map_digest,
         &registry.snapshot(),
     );
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    wsn_telemetry::write_file_atomic(&path, json.as_bytes())?;
     println!(
         "shard {shard_id}/{shards}: {} trials -> {}",
         stats.stats.len(),

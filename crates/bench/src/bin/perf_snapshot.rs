@@ -54,6 +54,7 @@ use std::time::Instant;
 use wsn_geometry::{CellIndex, Grid, Point, Rect};
 use wsn_network::{Deployment, GroupSampler, GroupSampling, PairIter, SensorField};
 use wsn_signal::{uncertainty_constant, PathLossModel};
+use wsn_telemetry::json;
 
 struct Setup {
     positions: Vec<Point>,
@@ -678,7 +679,8 @@ fn main() {
         std::process::exit(run_gate(&json, baseline_path));
     }
     let path = "BENCH_core.json";
-    std::fs::write(path, json).expect("write BENCH_core.json");
+    wsn_telemetry::write_file_atomic(std::path::Path::new(path), json.as_bytes())
+        .expect("write BENCH_core.json");
     println!("\nwrote {path}");
 }
 
@@ -727,9 +729,9 @@ fn run_gate(fresh_json: &str, path: &std::path::Path) -> i32 {
     }
 }
 
-/// Hand-formatted JSON: the workspace carries no JSON library.
-/// The telemetry snapshot comes from a separate instrumented pass (the
-/// timed loops run sink-free) and is embedded under `"metrics"`.
+/// The `BENCH_core.json` document. The telemetry snapshot comes from a
+/// separate instrumented pass (the timed loops run sink-free) and is
+/// embedded under `"metrics"`.
 fn render_json(
     rows: &[Row],
     repair: &RepairRow,
@@ -737,125 +739,81 @@ fn render_json(
     seed: u64,
     metrics: &wsn_telemetry::Snapshot,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"perf_snapshot\",\n");
-    out.push_str("  \"config\": {\n");
-    out.push_str("    \"field\": \"100x100 m\",\n");
-    out.push_str("    \"cell_size_m\": \"per row (`cell_m`): 1.0 for n <= 40, 0.5 for the match-only scale rows\",\n");
-    out.push_str(&format!("    \"threads\": {threads},\n"));
-    out.push_str(&format!("    \"seed\": {seed},\n"));
-    out.push_str(
-        "    \"reference\": \"in-binary scalar seed paths: faithful port of \
-         the seed serial FaceMap::build (per-cell SignatureVector, full-vector \
-         hash grouping, centroid/neighbor passes) and the per-face \
-         difference_norm_squared + 1/sqrt exhaustive scan; round_us.alg1_reference \
-         is Algorithm 1 per pair through PairEvidence::gather with per-pair \
-         node_responded rescans\"\n",
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"results\": [\n");
-    for r in rows {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"faces\": {},\n", r.faces));
-        out.push_str(&format!("      \"cell_m\": {},\n", r.cell_m));
-        // The build and speedup groups exist only on the full rows; the
-        // gate is presence-driven, so match-only scale rows gate match
-        // metrics alone.
-        if let Some(b) = &r.build {
-            out.push_str("      \"build_ms\": {\n");
-            out.push_str(&format!("        \"scalar_reference\": {:.3},\n", b.ref_ms));
-            out.push_str(&format!("        \"packed_serial\": {:.3},\n", b.serial_ms));
-            out.push_str(&format!(
-                "        \"packed_parallel\": {:.3}\n",
-                b.parallel_ms
-            ));
-            out.push_str("      },\n");
-        }
-        out.push_str("      \"match_us\": {\n");
-        if let Some(match_ref) = r.match_ref_us {
-            out.push_str(&format!("        \"scalar_reference\": {match_ref:.3},\n"));
-        }
-        out.push_str(&format!(
-            "        \"packed_exhaustive\": {:.3},\n",
-            r.match_packed_us
-        ));
-        out.push_str(&format!(
-            "        \"heuristic_warm\": {:.3},\n",
-            r.match_heur_us
-        ));
-        out.push_str(&format!(
-            "        \"indexed\": {:.3},\n",
-            r.match_indexed_us
-        ));
-        out.push_str(&format!(
-            "        \"indexed_p99\": {:.3}\n",
-            r.match_indexed_p99_us
-        ));
-        out.push_str("      },\n");
-        out.push_str("      \"round_us\": {\n");
-        out.push_str(&format!(
-            "        \"alg1_reference\": {:.3},\n",
-            r.round.alg1_reference_us
-        ));
-        out.push_str(&format!(
-            "        \"alg1_basic\": {:.3},\n",
-            r.round.alg1_basic_us
-        ));
-        out.push_str(&format!(
-            "        \"alg1_extended\": {:.3},\n",
-            r.round.alg1_extended_us
-        ));
-        out.push_str(&format!(
-            "        \"session_step\": {:.3}\n",
-            r.round.session_step_us
-        ));
-        out.push_str("      }");
-        if let (Some(b), Some(match_ref)) = (&r.build, r.match_ref_us) {
-            out.push_str(",\n      \"speedup\": {\n");
-            out.push_str(&format!(
-                "        \"build_serial\": {:.3},\n",
-                b.ref_ms / b.serial_ms
-            ));
-            out.push_str(&format!(
-                "        \"match_exhaustive\": {:.3},\n",
-                match_ref / r.match_packed_us
-            ));
-            out.push_str(&format!(
-                "        \"match_indexed\": {:.3}\n",
-                match_ref / r.match_indexed_us
-            ));
-            out.push_str("      }\n");
-        } else {
-            out.push('\n');
-        }
-        out.push_str("    },\n");
-    }
-    // The repair row closes the results array: same shape as the others
-    // (keyed by n + cell_m) with a single `map_repair_us` group, so the
-    // gate's presence-driven matching gates exactly its metrics.
-    out.push_str("    {\n");
-    out.push_str(&format!("      \"n\": {},\n", repair.n));
-    out.push_str(&format!("      \"faces\": {},\n", repair.faces));
-    out.push_str(&format!("      \"cell_m\": {},\n", repair.cell_m));
-    out.push_str("      \"map_repair_us\": {\n");
-    out.push_str(&format!(
-        "        \"incremental_median\": {:.3},\n",
-        repair.incremental_median_us
-    ));
-    out.push_str(&format!(
-        "        \"rebuild_median\": {:.3},\n",
-        repair.rebuild_median_us
-    ));
-    out.push_str(&format!("        \"events\": {}\n", repair.events));
-    out.push_str("      }\n");
-    out.push_str("    }\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"metrics\": {}\n",
-        metrics.to_json_indented("  ")
-    ));
-    out.push_str("}\n");
-    out
+    json::pretty(|o| {
+        o.field("bench", "perf_snapshot")
+            .object("config", |c| {
+                c.field("field", "100x100 m")
+                    .field(
+                        "cell_size_m",
+                        "per row (`cell_m`): 1.0 for n <= 40, 0.5 for the match-only scale rows",
+                    )
+                    .field("threads", threads)
+                    .field("seed", seed)
+                    .field(
+                        "reference",
+                        "in-binary scalar seed paths: faithful port of \
+                         the seed serial FaceMap::build (per-cell SignatureVector, full-vector \
+                         hash grouping, centroid/neighbor passes) and the per-face \
+                         difference_norm_squared + 1/sqrt exhaustive scan; round_us.alg1_reference \
+                         is Algorithm 1 per pair through PairEvidence::gather with per-pair \
+                         node_responded rescans",
+                    );
+            })
+            .array("results", |a| {
+                for r in rows {
+                    a.object(|row| {
+                        row.field("n", r.n)
+                            .field("faces", r.faces)
+                            .field("cell_m", r.cell_m);
+                        // The build and speedup groups exist only on the
+                        // full rows; the gate is presence-driven, so
+                        // match-only scale rows gate match metrics alone.
+                        if let Some(b) = &r.build {
+                            row.object("build_ms", |g| {
+                                g.field("scalar_reference", b.ref_ms)
+                                    .field("packed_serial", b.serial_ms)
+                                    .field("packed_parallel", b.parallel_ms);
+                            });
+                        }
+                        row.object("match_us", |g| {
+                            if let Some(match_ref) = r.match_ref_us {
+                                g.field("scalar_reference", match_ref);
+                            }
+                            g.field("packed_exhaustive", r.match_packed_us)
+                                .field("heuristic_warm", r.match_heur_us)
+                                .field("indexed", r.match_indexed_us)
+                                .field("indexed_p99", r.match_indexed_p99_us);
+                        })
+                        .object("round_us", |g| {
+                            g.field("alg1_reference", r.round.alg1_reference_us)
+                                .field("alg1_basic", r.round.alg1_basic_us)
+                                .field("alg1_extended", r.round.alg1_extended_us)
+                                .field("session_step", r.round.session_step_us);
+                        });
+                        if let (Some(b), Some(match_ref)) = (&r.build, r.match_ref_us) {
+                            row.object("speedup", |g| {
+                                g.field("build_serial", b.ref_ms / b.serial_ms)
+                                    .field("match_exhaustive", match_ref / r.match_packed_us)
+                                    .field("match_indexed", match_ref / r.match_indexed_us);
+                            });
+                        }
+                    });
+                }
+                // The repair row closes the results array: same shape as
+                // the others (keyed by n + cell_m) with a single
+                // `map_repair_us` group, so the gate's presence-driven
+                // matching gates exactly its metrics.
+                a.object(|row| {
+                    row.field("n", repair.n)
+                        .field("faces", repair.faces)
+                        .field("cell_m", repair.cell_m)
+                        .object("map_repair_us", |g| {
+                            g.field("incremental_median", repair.incremental_median_us)
+                                .field("rebuild_median", repair.rebuild_median_us)
+                                .field("events", repair.events);
+                        });
+                });
+            })
+            .object("metrics", |m| metrics.write_json(m));
+    })
 }

@@ -523,8 +523,10 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        if let Err(e) = std::fs::write(&args.out, json) {
-            eprintln!("serve_load: write {}: {e}", args.out);
+        if let Err(e) =
+            wsn_telemetry::write_file_atomic(std::path::Path::new(&args.out), json.as_bytes())
+        {
+            eprintln!("serve_load: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {}", args.out);

@@ -21,9 +21,10 @@ use std::collections::BTreeMap;
 use crate::robustness::{
     campaign_cells, campaign_checksum, run_campaign_stats, CampaignConfig, CampaignKind,
 };
-use fttt::replay::{digest_hex, parse_digest_hex};
-use wsn_telemetry::json::JsonValue;
-use wsn_telemetry::{ArgValue, Journal, TraceKind, TraceLog};
+use fttt::replay::digest_hex;
+use wsn_telemetry::json::{self, JsonValue};
+use wsn_telemetry::trace::parse_journal;
+use wsn_telemetry::Journal;
 
 /// One recorded `fttt.session.round` event, field-for-field.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,89 +99,21 @@ pub struct RecordedCampaign {
     pub rounds: BTreeMap<(u64, u64), RecordedRound>,
 }
 
-/// Looks a field up at the event root, then inside its `"args"` object —
-/// covering the JSONL layout (args nested, round at root) and the Chrome
-/// layout (everything inside `args`).
-fn field<'a>(event: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
-    event
-        .get(key)
-        .or_else(|| event.get("args").and_then(|a| a.get(key)))
-}
-
-fn req_u64(event: &JsonValue, key: &str, ctx: &str) -> Result<u64, String> {
-    field(event, key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing integral {key:?}"))
-}
-
-fn req_f64(event: &JsonValue, key: &str, ctx: &str) -> Result<f64, String> {
-    field(event, key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing numeric {key:?}"))
-}
-
-fn req_bool(event: &JsonValue, key: &str, ctx: &str) -> Result<bool, String> {
-    field(event, key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing boolean {key:?}"))
-}
-
-fn req_str(event: &JsonValue, key: &str, ctx: &str) -> Result<String, String> {
-    field(event, key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{ctx}: missing string {key:?}"))
-}
-
-/// Full-range u64s (seeds, digests) travel as hex strings — JSON numbers
-/// are f64 and would silently round them above 2^53.
-fn req_hex(event: &JsonValue, key: &str, ctx: &str) -> Result<u64, String> {
-    field(event, key)
-        .and_then(JsonValue::as_str)
-        .and_then(parse_digest_hex)
-        .ok_or_else(|| format!("{ctx}: missing hex {key:?}"))
-}
-
-/// Splits a journal serialization into its event objects: a full JSON
-/// document with a `traceEvents` array (Chrome form), or line-delimited
-/// JSON where each line is one event (plain and canonical JSONL; the
-/// meta line and blank lines are skipped, anything else malformed is an
-/// error).
-fn event_objects(text: &str) -> Result<Vec<JsonValue>, String> {
-    if let Ok(doc) = JsonValue::parse(text) {
-        if let Some(events) = doc.get("traceEvents").and_then(JsonValue::as_array) {
-            return Ok(events.to_vec());
-        }
-        // A single-line JSONL journal parses as one object; fall through
-        // to per-line handling below for uniform meta-line skipping.
-    }
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = JsonValue::parse(line).map_err(|e| format!("journal line {}: {e}", i + 1))?;
-        if v.get("kind").and_then(JsonValue::as_str) == Some("meta") {
-            continue;
-        }
-        events.push(v);
-    }
-    Ok(events)
-}
-
 /// Parses a journal serialization into a [`RecordedCampaign`].
 ///
 /// Fails loudly when the journal has no campaign header (nothing to
 /// replay from), names an unknown kind, or a round/trial event is
 /// missing fields.
 pub fn parse_recording(text: &str) -> Result<RecordedCampaign, String> {
-    let events = event_objects(text)?;
+    let (events, _) = parse_journal(text)?;
     let mut header: Option<(CampaignConfig, CampaignKind, u64)> = None;
     let mut trials = BTreeMap::new();
     let mut rounds = BTreeMap::new();
     for event in &events {
-        match field(event, "name").and_then(JsonValue::as_str) {
+        // Every form nests the payload under "args"; the JSONL forms keep
+        // the round index at the event root, Chrome keeps it in "args".
+        let args = event.get("args").unwrap_or(&JsonValue::Null);
+        match event.get("name").and_then(JsonValue::as_str) {
             Some("fttt.campaign.header") => {
                 if header.is_some() {
                     return Err("journal holds more than one campaign header; \
@@ -189,42 +122,45 @@ pub fn parse_recording(text: &str) -> Result<RecordedCampaign, String> {
                 }
                 let ctx = "campaign header";
                 let cfg = CampaignConfig {
-                    seed: req_hex(event, "seed", ctx)?,
-                    trials: req_u64(event, "trials", ctx)? as usize,
-                    duration: req_f64(event, "duration_s", ctx)?,
-                    nodes: req_u64(event, "nodes", ctx)? as usize,
+                    seed: args.req_hex("seed", ctx)?,
+                    trials: args.req_u64("trials", ctx)? as usize,
+                    duration: args.req_f64("duration_s", ctx)?,
+                    nodes: args.req_u64("nodes", ctx)? as usize,
                 };
-                let kind = match req_str(event, "campaign_kind", ctx)?.as_str() {
+                let kind = match args.req_str("campaign_kind", ctx)? {
                     "builtin" => CampaignKind::Builtin,
                     "custom" => CampaignKind::Custom {
-                        label: req_str(event, "label", ctx)?,
-                        schedule: req_str(event, "schedule", ctx)?,
+                        label: args.req_str("label", ctx)?.into(),
+                        schedule: args.req_str("schedule", ctx)?.into(),
                     },
                     "churn" => CampaignKind::Churn,
                     other => return Err(format!("{ctx}: unknown campaign kind {other:?}")),
                 };
-                let map_digest = req_hex(event, "map_digest", ctx)?;
+                let map_digest = args.req_hex("map_digest", ctx)?;
                 header = Some((cfg, kind, map_digest));
             }
             Some("fttt.campaign.trial") => {
                 let ctx = "campaign trial event";
-                let session = req_u64(event, "session", ctx)?;
+                let session = args.req_u64("session", ctx)?;
                 trials.insert(
                     session,
                     RecordedTrial {
-                        cell: req_u64(event, "cell", ctx)?,
-                        trial: req_u64(event, "trial", ctx)?,
-                        seed: req_hex(event, "seed", ctx)?,
-                        rounds: req_u64(event, "rounds", ctx)?,
-                        digest: req_hex(event, "digest", ctx)?,
+                        cell: args.req_u64("cell", ctx)?,
+                        trial: args.req_u64("trial", ctx)?,
+                        seed: args.req_hex("seed", ctx)?,
+                        rounds: args.req_u64("rounds", ctx)?,
+                        digest: args.req_hex("digest", ctx)?,
                     },
                 );
             }
             Some("fttt.session.round") => {
                 let ctx = "session round event";
-                let session = req_u64(event, "session", ctx)?;
-                let round = req_u64(event, "round", ctx)?;
-                rounds.insert((session, round), parse_round(event, ctx)?);
+                let session = args.req_u64("session", ctx)?;
+                let round = match event.get("round") {
+                    Some(_) => event.req_u64("round", ctx)?,
+                    None => args.req_u64("round", ctx)?,
+                };
+                rounds.insert((session, round), parse_round(args, ctx)?);
             }
             _ => {}
         }
@@ -240,26 +176,26 @@ pub fn parse_recording(text: &str) -> Result<RecordedCampaign, String> {
     })
 }
 
-fn parse_round(event: &JsonValue, ctx: &str) -> Result<RecordedRound, String> {
+fn parse_round(args: &JsonValue, ctx: &str) -> Result<RecordedRound, String> {
     Ok(RecordedRound {
-        t: req_f64(event, "t", ctx)?,
-        status_before: req_str(event, "status_before", ctx)?,
-        status: req_str(event, "status", ctx)?,
-        cause: req_str(event, "cause", ctx)?,
-        blackout: req_bool(event, "blackout", ctx)?,
-        stranded: req_bool(event, "stranded", ctx)?,
-        starved: req_bool(event, "starved", ctx)?,
-        teleported: req_bool(event, "teleported", ctx)?,
-        held: req_bool(event, "held", ctx)?,
-        reacquired: req_bool(event, "reacquired", ctx)?,
-        missing: req_f64(event, "missing", ctx)?,
-        zeros: req_f64(event, "zeros", ctx)?,
-        k: req_u64(event, "k", ctx)?,
-        k_after: req_u64(event, "k_after", ctx)?,
-        x: req_f64(event, "x", ctx)?,
-        y: req_f64(event, "y", ctx)?,
-        face: req_u64(event, "face", ctx)?,
-        similarity: field(event, "similarity").and_then(JsonValue::as_f64),
+        t: args.req_f64("t", ctx)?,
+        status_before: args.req_str("status_before", ctx)?.into(),
+        status: args.req_str("status", ctx)?.into(),
+        cause: args.req_str("cause", ctx)?.into(),
+        blackout: args.req_bool("blackout", ctx)?,
+        stranded: args.req_bool("stranded", ctx)?,
+        starved: args.req_bool("starved", ctx)?,
+        teleported: args.req_bool("teleported", ctx)?,
+        held: args.req_bool("held", ctx)?,
+        reacquired: args.req_bool("reacquired", ctx)?,
+        missing: args.req_f64("missing", ctx)?,
+        zeros: args.req_f64("zeros", ctx)?,
+        k: args.req_u64("k", ctx)?,
+        k_after: args.req_u64("k_after", ctx)?,
+        x: args.req_f64("x", ctx)?,
+        y: args.req_f64("y", ctx)?,
+        face: args.req_u64("face", ctx)?,
+        similarity: args.get("similarity").and_then(JsonValue::as_f64),
     })
 }
 
@@ -332,7 +268,13 @@ pub fn replay_and_diff(rec: &RecordedCampaign) -> Result<ReplayReport, String> {
 
     let cells = campaign_cells(&rec.kind);
     let checksum = campaign_checksum(&rec.cfg, &cells, stats.map_digest, &stats.stats);
-    let (live_trials, live_rounds) = live_maps(&log)?;
+    // The live run is read back through the same reader as the
+    // recording, so both sides see exactly what a journal file carries.
+    let RecordedCampaign {
+        trials: live_trials,
+        rounds: live_rounds,
+        ..
+    } = parse_recording(&log.to_jsonl())?;
 
     let mut divergences = Vec::new();
     if rec.map_digest != stats.map_digest {
@@ -376,101 +318,6 @@ pub fn replay_and_diff(rec: &RecordedCampaign) -> Result<ReplayReport, String> {
 }
 
 type RoundMap = BTreeMap<(u64, u64), RecordedRound>;
-
-/// Lifts the live journal snapshot into the same keyed maps the recording
-/// parses to — straight from the typed events, no JSON round-trip.
-fn live_maps(log: &TraceLog) -> Result<(BTreeMap<u64, RecordedTrial>, RoundMap), String> {
-    let mut trials = BTreeMap::new();
-    let mut rounds = BTreeMap::new();
-    for e in &log.events {
-        let arg_u64 = |key: &str| {
-            e.args.iter().find_map(|(k, v)| match v {
-                ArgValue::U64(n) if *k == key => Some(*n),
-                _ => None,
-            })
-        };
-        let arg_f64 = |key: &str| {
-            e.args.iter().find_map(|(k, v)| match v {
-                ArgValue::F64(n) if *k == key => Some(*n),
-                _ => None,
-            })
-        };
-        let arg_bool = |key: &str| {
-            e.args.iter().find_map(|(k, v)| match v {
-                ArgValue::Bool(b) if *k == key => Some(*b),
-                _ => None,
-            })
-        };
-        let arg_str = |key: &str| {
-            e.args.iter().find_map(|(k, v)| match v {
-                ArgValue::Str(s) if *k == key => Some(s.clone()),
-                _ => None,
-            })
-        };
-        match e.name {
-            "fttt.campaign.trial" => {
-                let session = arg_u64("session").ok_or("live trial event lost its session id")?;
-                trials.insert(
-                    session,
-                    RecordedTrial {
-                        cell: arg_u64("cell").unwrap_or(u64::MAX),
-                        trial: arg_u64("trial").unwrap_or(u64::MAX),
-                        seed: arg_str("seed")
-                            .as_deref()
-                            .and_then(parse_digest_hex)
-                            .unwrap_or(0),
-                        rounds: arg_u64("rounds").unwrap_or(0),
-                        digest: arg_str("digest")
-                            .as_deref()
-                            .and_then(parse_digest_hex)
-                            .ok_or("live trial event lost its digest")?,
-                    },
-                );
-            }
-            "fttt.session.round" => {
-                let TraceKind::Round { round } = e.kind else {
-                    continue;
-                };
-                let session = arg_u64("session").ok_or("live round event lost its session id")?;
-                let ctx = "live round event";
-                let need_f = |k: &str| arg_f64(k).ok_or_else(|| format!("{ctx}: missing {k:?}"));
-                let need_b = |k: &str| arg_bool(k).ok_or_else(|| format!("{ctx}: missing {k:?}"));
-                let need_u = |k: &str| arg_u64(k).ok_or_else(|| format!("{ctx}: missing {k:?}"));
-                let need_s = |k: &str| arg_str(k).ok_or_else(|| format!("{ctx}: missing {k:?}"));
-                rounds.insert(
-                    (session, round),
-                    RecordedRound {
-                        t: need_f("t")?,
-                        status_before: need_s("status_before")?,
-                        status: need_s("status")?,
-                        cause: need_s("cause")?,
-                        blackout: need_b("blackout")?,
-                        stranded: need_b("stranded")?,
-                        starved: need_b("starved")?,
-                        teleported: need_b("teleported")?,
-                        held: need_b("held")?,
-                        reacquired: need_b("reacquired")?,
-                        missing: need_f("missing")?,
-                        zeros: need_f("zeros")?,
-                        k: need_u("k")?,
-                        k_after: need_u("k_after")?,
-                        x: need_f("x")?,
-                        y: need_f("y")?,
-                        face: need_u("face")?,
-                        // Non-finite similarities (a perfect match is
-                        // +inf) serialize as JSON null, so the recording
-                        // side reads them back as None — normalize the
-                        // live side identically or faithful replays
-                        // would self-report divergence.
-                        similarity: arg_f64("similarity").filter(|v| v.is_finite()),
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
-    Ok((trials, rounds))
-}
 
 fn diff_session(
     session: u64,
@@ -622,38 +469,34 @@ pub fn checksum_key(cfg: &CampaignConfig, campaign: &str) -> String {
 }
 
 /// Renders the golden-checksum baseline document. Each entry is keyed by
-/// `(campaign kind label, config)`.
+/// `(campaign kind label, config)`; the seed is a full-range `u64`, so it
+/// is written as hex like every other seed.
 pub fn render_checksum_baseline(entries: &[(CampaignConfig, &str, u64)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fault_campaign_checksums\",\n");
-    out.push_str(
-        "  \"note\": \"golden campaign checksums; every fault_campaign run prints its \
-         checksum — update these only on an intentional simulation change\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, (cfg, campaign, sum)) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"campaign\": \"{}\", \"seed\": {}, \"trials\": {}, \"duration_s\": {}, \
-             \"nodes\": {}, \"checksum\": \"{}\" }}{}\n",
-            campaign,
-            cfg.seed,
-            cfg.trials,
-            wsn_telemetry::json::format_f64(cfg.duration),
-            cfg.nodes,
-            digest_hex(*sum),
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    json::pretty(|o| {
+        o.field("bench", "fault_campaign_checksums")
+            .field(
+                "note",
+                "golden campaign checksums; every fault_campaign run prints its \
+                 checksum — update these only on an intentional simulation change",
+            )
+            .array("entries", |a| {
+                for (cfg, campaign, sum) in entries {
+                    a.object(|e| {
+                        e.field("campaign", campaign)
+                            .hex("seed", cfg.seed)
+                            .field("trials", cfg.trials)
+                            .field("duration_s", cfg.duration)
+                            .field("nodes", cfg.nodes)
+                            .hex("checksum", *sum);
+                    });
+                }
+            });
+    })
 }
 
 /// Checks a freshly computed campaign checksum against the committed
 /// baseline document. `Ok(())` means the run matches its golden value;
-/// `Err` names the drift or the missing entry. Entries without a
-/// `"campaign"` field date from before the churn family and mean
-/// `"builtin"`.
+/// `Err` names the drift or the missing entry.
 pub fn check_checksum(
     baseline_text: &str,
     cfg: &CampaignConfig,
@@ -664,28 +507,20 @@ pub fn check_checksum(
     if doc.get("bench").and_then(JsonValue::as_str) != Some("fault_campaign_checksums") {
         return Err("checksum baseline: not a fault_campaign_checksums document".into());
     }
-    let entries = doc
-        .get("entries")
-        .and_then(JsonValue::as_array)
-        .ok_or("checksum baseline: missing \"entries\" array")?;
-    for (i, e) in entries.iter().enumerate() {
+    for (i, e) in doc
+        .req_array("entries", "checksum baseline")?
+        .iter()
+        .enumerate()
+    {
         let ctx = format!("checksum baseline entry {i}");
         let entry_cfg = CampaignConfig {
-            seed: req_u64(e, "seed", &ctx)?,
-            trials: req_u64(e, "trials", &ctx)? as usize,
-            duration: req_f64(e, "duration_s", &ctx)?,
-            nodes: req_u64(e, "nodes", &ctx)? as usize,
+            seed: e.req_hex("seed", &ctx)?,
+            trials: e.req_u64("trials", &ctx)? as usize,
+            duration: e.req_f64("duration_s", &ctx)?,
+            nodes: e.req_u64("nodes", &ctx)? as usize,
         };
-        let entry_campaign = e
-            .get("campaign")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("builtin");
-        if entry_cfg == *cfg && entry_campaign == campaign {
-            let golden = e
-                .get("checksum")
-                .and_then(JsonValue::as_str)
-                .and_then(parse_digest_hex)
-                .ok_or_else(|| format!("{ctx}: missing hex \"checksum\""))?;
+        if entry_cfg == *cfg && e.req_str("campaign", &ctx)? == campaign {
+            let golden = e.req_hex("checksum", &ctx)?;
             return if golden == checksum {
                 Ok(())
             } else {
@@ -735,12 +570,42 @@ mod tests {
         assert!(missing.contains("no entry"), "{missing}");
         assert!(missing.contains("seed=7"), "{missing}");
 
-        // A pre-churn entry without a "campaign" field means builtin.
-        let legacy = r#"{ "bench": "fault_campaign_checksums", "entries": [
-            { "seed": 42, "trials": 3, "duration_s": 20, "nodes": 8, "checksum": "0x0000000000000abc" }
-        ] }"#;
-        assert!(check_checksum(legacy, &fast, "builtin", 0xabc).is_ok());
-        assert!(check_checksum(legacy, &fast, "churn", 0xabc).is_err());
+        // Seeds above 2^53 have entries of their own: they are hex, not
+        // JSON numbers that would round to a neighbouring seed.
+        let big = CampaignConfig::fast((1 << 53) + 1);
+        let text = render_checksum_baseline(&[(big, "builtin", 0x456)]);
+        assert_eq!(check_checksum(&text, &big, "builtin", 0x456), Ok(()));
+        let neighbour = CampaignConfig::fast(1 << 53);
+        let missing = check_checksum(&text, &neighbour, "builtin", 0x456).unwrap_err();
+        assert!(missing.contains("no entry"), "{missing}");
+    }
+
+    /// The committed golden file is exactly what the renderer writes for
+    /// its own entries, so hand edits cannot drift from the format.
+    #[test]
+    fn committed_baseline_is_in_rendered_form() {
+        let text = include_str!("../baselines/robustness_checksums.json");
+        let doc = JsonValue::parse(text).unwrap();
+        let entries: Vec<(CampaignConfig, String, u64)> = doc
+            .req_array("entries", "test")
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let cfg = CampaignConfig {
+                    seed: e.req_hex("seed", "test").unwrap(),
+                    trials: e.req_u64("trials", "test").unwrap() as usize,
+                    duration: e.req_f64("duration_s", "test").unwrap(),
+                    nodes: e.req_u64("nodes", "test").unwrap() as usize,
+                };
+                let campaign = e.req_str("campaign", "test").unwrap().to_string();
+                (cfg, campaign, e.req_hex("checksum", "test").unwrap())
+            })
+            .collect();
+        let borrowed: Vec<(CampaignConfig, &str, u64)> = entries
+            .iter()
+            .map(|(cfg, campaign, sum)| (*cfg, campaign.as_str(), *sum))
+            .collect();
+        assert_eq!(render_checksum_baseline(&borrowed), text);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::cell::RefCell;
 
 use fttt::config::PaperParams;
 use fttt::facemap::{FaceMap, RepairMode};
-use fttt::replay::{digest_face_map, digest_hex, digest_world, parse_digest_hex, Digest};
+use fttt::replay::{digest_face_map, digest_hex, digest_world, Digest};
 use fttt::session::{SessionOptions, SessionRun, TrackStatus, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
 use rand::SeedableRng;
@@ -59,7 +59,7 @@ use rand_chacha::ChaCha8Rng;
 use wsn_network::{GroupSampler, Schedule, SensorField};
 use wsn_parallel::{par_map, seed_for};
 use wsn_telemetry as telemetry;
-use wsn_telemetry::json::{format_f64, format_str, JsonValue};
+use wsn_telemetry::json::{self, JsonValue};
 
 /// Campaign workload parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -859,17 +859,14 @@ pub fn campaign_field_side(cfg: &CampaignConfig) -> f64 {
     campaign_params(cfg).field_side
 }
 
-/// Hand-formatted JSON artifact (the workspace carries no JSON
-/// library). When a telemetry snapshot is supplied it is
-/// embedded under a `"metrics"` key so `BENCH_robustness.json` carries
-/// the campaign's instrumentation counters alongside the envelopes.
+/// The `BENCH_robustness.json` artifact. When a telemetry snapshot is
+/// supplied it is embedded under a `"metrics"` key so the artifact
+/// carries the campaign's instrumentation counters alongside the
+/// envelopes.
 ///
-/// Every float goes through [`wsn_telemetry::json::format_f64`] — the
-/// shortest string that parses back to the exact same bits — so the
-/// replay/diff parser and the sharded merge see the values the run
-/// computed, not a `{:.3}` truncation of them. The campaign checksum is
-/// serialized as a hex *string* (JSON numbers are f64 and lose integer
-/// precision above 2⁵³).
+/// Floats are written exactly (see [`wsn_telemetry::json::format_f64`]),
+/// so the values read back are the values the run computed; the campaign
+/// checksum is a hex string.
 pub fn render_json(
     rows: &[CampaignRow],
     cfg: &CampaignConfig,
@@ -877,82 +874,47 @@ pub fn render_json(
     metrics: Option<&wsn_telemetry::Snapshot>,
     checksum: Option<u64>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fault_campaign\",\n");
-    out.push_str("  \"config\": {\n");
-    out.push_str(&format!("    \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("    \"trials\": {},\n", cfg.trials));
-    out.push_str(&format!(
-        "    \"duration_s\": {},\n",
-        format_f64(cfg.duration)
-    ));
-    out.push_str(&format!("    \"nodes\": {},\n", cfg.nodes));
-    out.push_str(&format!(
-        "    \"field_side_m\": {},\n",
-        format_f64(campaign_field_side(cfg))
-    ));
-    let rates: Vec<String> = SWEEP_RATES.iter().map(|r| format_f64(*r)).collect();
-    out.push_str(&format!("    \"sweep_rates\": [{}],\n", rates.join(", ")));
-    out.push_str(
-        "    \"envelope\": \"mean(rate) <= 3*mean(0) + 12 m; all cells <= 0.55*field_side; \
-         blackout must reach Lost and majority-recover\"\n",
-    );
-    out.push_str("  },\n");
-    if let Some(sum) = checksum {
-        out.push_str(&format!("  \"checksum\": \"{}\",\n", digest_hex(sum)));
-    }
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"regime\": {},\n", format_str(&r.regime)));
-        out.push_str(&format!("      \"method\": {},\n", format_str(r.method)));
-        match r.fault_rate {
-            Some(rate) => out.push_str(&format!("      \"fault_rate\": {},\n", format_f64(rate))),
-            None => out.push_str("      \"fault_rate\": null,\n"),
-        }
-        out.push_str(&format!(
-            "      \"mean_error_m\": {},\n",
-            format_f64(r.mean_error)
-        ));
-        out.push_str(&format!(
-            "      \"worst_error_m\": {},\n",
-            format_f64(r.worst_error)
-        ));
-        out.push_str(&format!(
-            "      \"lost_fraction\": {},\n",
-            format_f64(r.lost_fraction)
-        ));
-        out.push_str(&format!(
-            "      \"degraded_fraction\": {},\n",
-            format_f64(r.degraded_fraction)
-        ));
-        out.push_str(&format!("      \"trials_lost\": {},\n", r.trials_lost));
-        out.push_str(&format!(
-            "      \"recovery_rate\": {},\n",
-            format_f64(r.recovery_rate)
-        ));
-        out.push_str(&format!(
-            "      \"mean_samples\": {}\n",
-            format_f64(r.mean_samples)
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
+    json::pretty(|o| {
+        o.field("bench", "fault_campaign").object("config", |c| {
+            c.field("seed", cfg.seed)
+                .field("trials", cfg.trials)
+                .field("duration_s", cfg.duration)
+                .field("nodes", cfg.nodes)
+                .field("field_side_m", campaign_field_side(cfg))
+                .array("sweep_rates", |a| {
+                    a.items(SWEEP_RATES);
+                })
+                .field(
+                    "envelope",
+                    "mean(rate) <= 3*mean(0) + 12 m; all cells <= 0.55*field_side; \
+                     blackout must reach Lost and majority-recover",
+                );
         });
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"violations\": {},\n", violations.len()));
-    if let Some(snap) = metrics {
-        out.push_str(&format!(
-            "  \"metrics\": {},\n",
-            snap.to_json_indented("  ")
-        ));
-    }
-    out.push_str(&format!("  \"pass\": {}\n", violations.is_empty()));
-    out.push_str("}\n");
-    out
+        if let Some(sum) = checksum {
+            o.hex("checksum", sum);
+        }
+        o.array("rows", |a| {
+            for r in rows {
+                a.object(|row| {
+                    row.field("regime", &r.regime)
+                        .field("method", r.method)
+                        .field("fault_rate", r.fault_rate)
+                        .field("mean_error_m", r.mean_error)
+                        .field("worst_error_m", r.worst_error)
+                        .field("lost_fraction", r.lost_fraction)
+                        .field("degraded_fraction", r.degraded_fraction)
+                        .field("trials_lost", r.trials_lost)
+                        .field("recovery_rate", r.recovery_rate)
+                        .field("mean_samples", r.mean_samples);
+                });
+            }
+        })
+        .field("violations", violations.len());
+        if let Some(snap) = metrics {
+            o.object("metrics", |m| snap.write_json(m));
+        }
+        o.field("pass", violations.is_empty());
+    })
 }
 
 /// Renders one shard's output: config echo, shard coordinates, per-trial
@@ -966,54 +928,36 @@ pub fn render_shard_json(
     map_digest: u64,
     metrics: &wsn_telemetry::Snapshot,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fault_campaign_shard\",\n");
-    out.push_str(&format!("  \"shard\": {shard_id},\n"));
-    out.push_str(&format!("  \"shards\": {shards},\n"));
-    out.push_str("  \"config\": {\n");
-    // The master seed is a full-range u64: hex string, not a JSON number
-    // (f64 is exact only below 2^53).
-    out.push_str(&format!("    \"seed\": \"{}\",\n", digest_hex(cfg.seed)));
-    out.push_str(&format!("    \"trials\": {},\n", cfg.trials));
-    out.push_str(&format!(
-        "    \"duration_s\": {},\n",
-        format_f64(cfg.duration)
-    ));
-    out.push_str(&format!("    \"nodes\": {}\n", cfg.nodes));
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"map_digest\": \"{}\",\n",
-        digest_hex(map_digest)
-    ));
-    out.push_str("  \"trials\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"cell\": {}, \"trial\": {}, \"seed\": \"{}\", \"session\": {}, \
-             \"mean_error\": {}, \"rounds\": {}, \"lost_rounds\": {}, \
-             \"degraded_rounds\": {}, \"recovered\": {}, \"total_samples\": {}, \
-             \"digest\": \"{}\" }}{}\n",
-            s.cell,
-            s.trial,
-            digest_hex(s.seed),
-            s.session,
-            format_f64(s.mean_error),
-            s.rounds,
-            s.lost_rounds,
-            s.degraded_rounds,
-            s.recovered,
-            s.total_samples,
-            digest_hex(s.digest),
-            if i + 1 == stats.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"metrics\": {}\n",
-        metrics.to_json_indented("  ")
-    ));
-    out.push_str("}\n");
-    out
+    json::pretty(|o| {
+        o.field("bench", "fault_campaign_shard")
+            .field("shard", shard_id)
+            .field("shards", shards)
+            .object("config", |c| {
+                c.hex("seed", cfg.seed)
+                    .field("trials", cfg.trials)
+                    .field("duration_s", cfg.duration)
+                    .field("nodes", cfg.nodes);
+            })
+            .hex("map_digest", map_digest)
+            .array("trials", |a| {
+                for s in stats {
+                    a.object(|t| {
+                        t.field("cell", s.cell)
+                            .field("trial", s.trial)
+                            .hex("seed", s.seed)
+                            .field("session", s.session)
+                            .field("mean_error", s.mean_error)
+                            .field("rounds", s.rounds)
+                            .field("lost_rounds", s.lost_rounds)
+                            .field("degraded_rounds", s.degraded_rounds)
+                            .field("recovered", s.recovered)
+                            .field("total_samples", s.total_samples)
+                            .hex("digest", s.digest);
+                    });
+                }
+            })
+            .object("metrics", |m| metrics.write_json(m));
+    })
 }
 
 /// A parsed shard file.
@@ -1033,81 +977,43 @@ pub struct ShardFile {
     pub metrics: wsn_telemetry::Snapshot,
 }
 
-fn field_u64(v: &JsonValue, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing integral {key:?}"))
-}
-
-fn field_f64(v: &JsonValue, key: &str, ctx: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing numeric {key:?}"))
-}
-
 /// Parses a [`render_shard_json`] document back.
 pub fn parse_shard_json(text: &str) -> Result<ShardFile, String> {
     let doc = JsonValue::parse(text).map_err(|e| format!("shard file: {e}"))?;
     if doc.get("bench").and_then(JsonValue::as_str) != Some("fault_campaign_shard") {
         return Err("shard file: not a fault_campaign_shard document".into());
     }
-    let cfg_doc = doc
-        .get("config")
-        .ok_or_else(|| "shard file: missing \"config\"".to_string())?;
+    let ctx = "shard file";
+    let cfg_doc = doc.req("config", ctx)?;
     let config = CampaignConfig {
-        seed: cfg_doc
-            .get("seed")
-            .and_then(JsonValue::as_str)
-            .and_then(parse_digest_hex)
-            .ok_or_else(|| "shard config: missing hex \"seed\"".to_string())?,
-        trials: field_u64(cfg_doc, "trials", "shard config")? as usize,
-        duration: field_f64(cfg_doc, "duration_s", "shard config")?,
-        nodes: field_u64(cfg_doc, "nodes", "shard config")? as usize,
+        seed: cfg_doc.req_hex("seed", "shard config")?,
+        trials: cfg_doc.req_u64("trials", "shard config")? as usize,
+        duration: cfg_doc.req_f64("duration_s", "shard config")?,
+        nodes: cfg_doc.req_u64("nodes", "shard config")? as usize,
     };
-    let map_digest = doc
-        .get("map_digest")
-        .and_then(JsonValue::as_str)
-        .and_then(parse_digest_hex)
-        .ok_or_else(|| "shard file: missing hex \"map_digest\"".to_string())?;
-    let trials = doc
-        .get("trials")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "shard file: missing \"trials\" array".to_string())?;
+    let map_digest = doc.req_hex("map_digest", ctx)?;
+    let trials = doc.req_array("trials", ctx)?;
     let mut stats = Vec::with_capacity(trials.len());
     for (i, t) in trials.iter().enumerate() {
         let ctx = format!("shard trial {i}");
         stats.push(TrialStat {
-            cell: field_u64(t, "cell", &ctx)? as usize,
-            trial: field_u64(t, "trial", &ctx)?,
-            seed: t
-                .get("seed")
-                .and_then(JsonValue::as_str)
-                .and_then(parse_digest_hex)
-                .ok_or_else(|| format!("{ctx}: missing hex \"seed\""))?,
-            session: field_u64(t, "session", &ctx)?,
-            mean_error: field_f64(t, "mean_error", &ctx)?,
-            rounds: field_u64(t, "rounds", &ctx)?,
-            lost_rounds: field_u64(t, "lost_rounds", &ctx)?,
-            degraded_rounds: field_u64(t, "degraded_rounds", &ctx)?,
-            recovered: t
-                .get("recovered")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| format!("{ctx}: missing boolean \"recovered\""))?,
-            total_samples: field_u64(t, "total_samples", &ctx)?,
-            digest: t
-                .get("digest")
-                .and_then(JsonValue::as_str)
-                .and_then(parse_digest_hex)
-                .ok_or_else(|| format!("{ctx}: missing hex \"digest\""))?,
+            cell: t.req_u64("cell", &ctx)? as usize,
+            trial: t.req_u64("trial", &ctx)?,
+            seed: t.req_hex("seed", &ctx)?,
+            session: t.req_u64("session", &ctx)?,
+            mean_error: t.req_f64("mean_error", &ctx)?,
+            rounds: t.req_u64("rounds", &ctx)?,
+            lost_rounds: t.req_u64("lost_rounds", &ctx)?,
+            degraded_rounds: t.req_u64("degraded_rounds", &ctx)?,
+            recovered: t.req_bool("recovered", &ctx)?,
+            total_samples: t.req_u64("total_samples", &ctx)?,
+            digest: t.req_hex("digest", &ctx)?,
         });
     }
-    let metrics = doc
-        .get("metrics")
-        .ok_or_else(|| "shard file: missing \"metrics\"".to_string())
-        .and_then(wsn_telemetry::Snapshot::from_json_value)?;
+    let metrics = wsn_telemetry::Snapshot::from_json_value(doc.req("metrics", ctx)?)?;
     Ok(ShardFile {
-        shard: field_u64(&doc, "shard", "shard file")? as usize,
-        shards: field_u64(&doc, "shards", "shard file")? as usize,
+        shard: doc.req_u64("shard", ctx)? as usize,
+        shards: doc.req_u64("shards", ctx)? as usize,
         config,
         map_digest,
         stats,
@@ -1302,21 +1208,28 @@ mod tests {
             recovery_rate: 1.0,
             mean_samples: 6.0,
         }];
-        let json = render_json(&rows, &cfg, &[], None, None);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"fault_rate\": null"));
-        assert!(json.contains("\"pass\": true"));
-        assert!(!json.contains("\"metrics\""));
-        assert!(!json.contains("\"checksum\""));
+        let doc = JsonValue::parse(&render_json(&rows, &cfg, &[], None, None)).unwrap();
+        let row = &doc.req_array("rows", "test").unwrap()[0];
+        assert_eq!(row.get("fault_rate"), Some(&JsonValue::Null));
+        assert_eq!(doc.get("pass").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(doc.get("metrics"), None);
+        assert_eq!(doc.get("checksum"), None);
 
         let registry = wsn_telemetry::Registry::new();
         registry.counter("wsn.regime.activations").add(7);
         let snap = registry.snapshot();
         let json = render_json(&rows, &cfg, &[], Some(&snap), Some(0xdead_beef));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"metrics\""));
-        assert!(json.contains("\"wsn.regime.activations\": 7"));
-        assert!(json.contains("\"checksum\": \"0x00000000deadbeef\""));
+        let doc = JsonValue::parse(&json).unwrap();
+        let metrics = doc.req("metrics", "test").unwrap();
+        assert_eq!(
+            wsn_telemetry::Snapshot::from_json_value(metrics).unwrap(),
+            snap
+        );
+        assert_eq!(doc.req_hex("checksum", "test"), Ok(0xdead_beef));
+        assert_eq!(
+            doc.get("checksum").and_then(JsonValue::as_str),
+            Some("0x00000000deadbeef")
+        );
     }
 
     /// The artifact's floats must round-trip exactly through the shared

@@ -32,6 +32,7 @@ use std::time::Instant;
 use wsn_network::replay::digest_hex;
 use wsn_parallel::seed_for;
 use wsn_server::{Connection, ErrorCode, Frame, ReadingRound, RoundResult, ServerConfig};
+use wsn_telemetry::json;
 use wsn_telemetry::ArgValue;
 
 /// Load-generator shape.
@@ -564,54 +565,33 @@ pub fn run_load(
 /// Renders a `BENCH_serve.json` document (the shape
 /// [`crate::gate::check_serve`] consumes).
 pub fn render_serve_json(server: &ServerConfig, load: &LoadConfig, report: &ServeReport) -> String {
-    format!(
-        r#"{{
-  "bench": "serve",
-  "config": {{
-    "shards": {shards},
-    "queue_depth": {queue},
-    "nodes": {nodes},
-    "conns": {conns},
-    "window": {window},
-    "seed": {seed},
-    "extended_every": {ext}
-  }},
-  "results": [
-    {{
-      "sessions": {sessions},
-      "rounds": {rounds},
-      "open_per_sec": {ops:.1},
-      "rounds_per_sec": {rps:.1},
-      "round_p50_us": {p50:.1},
-      "round_p99_us": {p99:.1},
-      "digest_checked": {checked},
-      "digest_mismatches": {dmiss},
-      "result_mismatches": {rmiss},
-      "shed_retries": {shed},
-      "rounds_total": {total}
-    }}
-  ]
-}}
-"#,
-        shards = server.shards,
-        queue = server.queue_depth,
-        nodes = server.params.nodes,
-        conns = report.conns,
-        window = load.window,
-        seed = load.seed,
-        ext = load.extended_every,
-        sessions = report.sessions,
-        rounds = report.rounds,
-        ops = report.open_per_sec,
-        rps = report.rounds_per_sec,
-        p50 = report.round_p50_us,
-        p99 = report.round_p99_us,
-        checked = report.digest_checked,
-        dmiss = report.digest_mismatches,
-        rmiss = report.result_mismatches,
-        shed = report.shed_retries,
-        total = report.rounds_total,
-    )
+    json::pretty(|o| {
+        o.field("bench", "serve")
+            .object("config", |c| {
+                c.field("shards", server.shards)
+                    .field("queue_depth", server.queue_depth)
+                    .field("nodes", server.params.nodes)
+                    .field("conns", report.conns)
+                    .field("window", load.window)
+                    .field("seed", load.seed)
+                    .field("extended_every", load.extended_every);
+            })
+            .array("results", |a| {
+                a.object(|r| {
+                    r.field("sessions", report.sessions)
+                        .field("rounds", report.rounds)
+                        .field("open_per_sec", report.open_per_sec)
+                        .field("rounds_per_sec", report.rounds_per_sec)
+                        .field("round_p50_us", report.round_p50_us)
+                        .field("round_p99_us", report.round_p99_us)
+                        .field("digest_checked", report.digest_checked)
+                        .field("digest_mismatches", report.digest_mismatches)
+                        .field("result_mismatches", report.result_mismatches)
+                        .field("shed_retries", report.shed_retries)
+                        .field("rounds_total", report.rounds_total);
+                });
+            });
+    })
 }
 
 #[cfg(test)]

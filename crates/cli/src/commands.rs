@@ -54,7 +54,7 @@ fn emit_trace(opts: &Options, journal: Option<std::sync::Arc<wsn_telemetry::Jour
     } else {
         log.to_chrome_json()
     };
-    std::fs::write(path, payload).expect("write trace file");
+    wsn_telemetry::write_file_atomic(path, payload.as_bytes()).expect("write trace file");
     eprintln!(
         "[trace] wrote {} ({} events, {} dropped)",
         path.display(),
@@ -66,7 +66,7 @@ fn emit_trace(opts: &Options, journal: Option<std::sync::Arc<wsn_telemetry::Jour
 /// Renders a snapshot in the format picked by `--metrics-format`.
 fn metrics_payload(snap: &wsn_telemetry::Snapshot, format: MetricsFormat) -> String {
     match format {
-        MetricsFormat::Json => snap.to_json() + "\n",
+        MetricsFormat::Json => snap.to_json(),
         MetricsFormat::Prom => snap.to_prometheus(),
     }
 }
@@ -79,7 +79,8 @@ fn emit_metrics(opts: &Options, registry: Option<std::sync::Arc<wsn_telemetry::R
     };
     wsn_telemetry::uninstall();
     let snap = registry.snapshot();
-    std::fs::write(path, metrics_payload(&snap, opts.metrics_format)).expect("write metrics file");
+    let payload = metrics_payload(&snap, opts.metrics_format);
+    wsn_telemetry::write_file_atomic(path, payload.as_bytes()).expect("write metrics file");
     let mut t = Table::new("metrics", &["metric", "value"]);
     for (name, v) in &snap.counters {
         t.row(&[name.clone(), v.to_string()]);
@@ -444,7 +445,13 @@ mod tests {
         let json = metrics_payload(&snap, MetricsFormat::Json);
         assert!(json.ends_with('\n'));
         assert!(json.trim_start().starts_with('{'), "{json}");
-        assert!(json.contains("\"fttt.session.rounds\": 3"), "{json}");
+        let doc = wsn_telemetry::json::JsonValue::parse(&json).unwrap();
+        assert_eq!(
+            doc.get("counters")
+                .and_then(|c| c.get("fttt.session.rounds"))
+                .and_then(wsn_telemetry::json::JsonValue::as_u64),
+            Some(3)
+        );
 
         let prom = metrics_payload(&snap, MetricsFormat::Prom);
         assert!(prom.contains("# TYPE"), "{prom}");

@@ -8,6 +8,7 @@
 //! the event objects are in hand.
 
 use wsn_telemetry::json::JsonValue;
+use wsn_telemetry::trace::parse_journal;
 
 /// Aggregated `fttt.match.index` activity (the coarse-to-fine matcher's
 /// chunk-pruning instants), either for one round or for a whole trace.
@@ -168,60 +169,28 @@ fn repair_of(event: &JsonValue) -> Option<RepairRecord> {
     })
 }
 
-/// Walks every event object in a trace file's text — Chrome trace-event
-/// or line-delimited JSON — and returns the journal's dropped-event count
-/// when the meta carries one.
-fn for_each_event(text: &str, note: &mut dyn FnMut(&JsonValue)) -> Result<Option<u64>, String> {
-    if let Ok(doc) = JsonValue::parse(text) {
-        // A whole-file parse succeeding means Chrome trace-event format.
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .ok_or("not a trace file: no \"traceEvents\" array")?;
-        for e in events {
-            note(e);
-        }
-        Ok(doc
-            .get("otherData")
-            .and_then(|o| o.get("dropped"))
-            .and_then(JsonValue::as_u64))
-    } else {
-        // Otherwise it must be line-delimited JSON.
-        let mut dropped = None;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let e = JsonValue::parse(line)
-                .map_err(|err| format!("line {}: not JSON ({err})", i + 1))?;
-            if str_of(&e, "kind").as_deref() == Some("meta") {
-                dropped = e.get("dropped").and_then(JsonValue::as_u64);
-                continue;
-            }
-            note(&e);
-        }
-        Ok(dropped)
-    }
-}
-
 /// Parses a trace file's text in either format into a [`TraceSummary`].
 pub fn load(text: &str) -> Result<TraceSummary, String> {
-    let mut summary = TraceSummary::default();
+    let (events, dropped) = parse_journal(text)?;
+    let mut summary = TraceSummary {
+        dropped,
+        ..TraceSummary::default()
+    };
     let mut counts = std::collections::BTreeMap::<String, u64>::new();
     // Indexed matches run *inside* a round, so their instants precede the
     // round's closing event in journal order: accumulate until the next
     // round event claims them. Must happen before the stable sort below —
     // attribution is positional, not keyed.
     let mut pending = IndexStats::default();
-    let mut note = |event: &JsonValue| {
+    for event in &events {
         if str_of(event, "name").as_deref() == Some("fttt.match.index") {
             pending.absorb(event);
             summary.index_totals.absorb(event);
-            return;
+            continue;
         }
         if let Some(rep) = repair_of(event) {
             summary.repairs.push(rep);
-            return;
+            continue;
         }
         if let Some(mut r) = round_of(event) {
             r.index = std::mem::take(&mut pending);
@@ -229,9 +198,7 @@ pub fn load(text: &str) -> Result<TraceSummary, String> {
         } else if let Some(name) = str_of(event, "name") {
             *counts.entry(name).or_insert(0) += 1;
         }
-    };
-    let dropped = for_each_event(text, &mut note)?;
-    summary.dropped = dropped;
+    }
     summary.rounds.sort_by_key(|r| (r.session, r.round));
     summary
         .repairs
@@ -488,13 +455,14 @@ pub struct WireTrace {
 
 /// Parses a trace file's text (either format) into its cross-wire events.
 pub fn load_wire(text: &str) -> Result<WireTrace, String> {
+    let (events, _) = parse_journal(text)?;
     let mut w = WireTrace::default();
-    for_each_event(text, &mut |event| {
+    for event in &events {
         let Some(name) = str_of(event, "name") else {
-            return;
+            continue;
         };
         let Some(args) = event.get("args") else {
-            return;
+            continue;
         };
         let trace = str_of(args, "trace")
             .as_deref()
@@ -521,7 +489,7 @@ pub fn load_wire(text: &str) -> Result<WireTrace, String> {
             }
             _ => {}
         }
-    })?;
+    }
     Ok(w)
 }
 
@@ -1235,6 +1203,18 @@ mod tests {
         assert_eq!(c.matched.len(), 1);
         assert_eq!(c.session_mismatches, 1);
         assert!(render_correlation(&c).contains("different sessions"));
+    }
+
+    /// An empty journal is a trace with no rounds in either form — the
+    /// one-line JSONL file used to be refused as a foreign document.
+    #[test]
+    fn empty_journal_loads_in_both_forms() {
+        let log = Journal::new().snapshot();
+        for text in [log.to_jsonl(), log.to_chrome_json()] {
+            let s = load(&text).unwrap();
+            assert!(s.rounds.is_empty());
+            assert_eq!(s.dropped, Some(0));
+        }
     }
 
     #[test]

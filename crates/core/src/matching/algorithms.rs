@@ -386,8 +386,9 @@ fn render_hop_path(path: &[u32]) -> String {
 /// walks across equal-similarity faces (breadth-first, bounded by
 /// `PLATEAU_BUDGET` expansions since the last strict improvement) to find
 /// the next ascent. This keeps the per-localization cost far below the
-/// exhaustive scan while recovering its accuracy in practice — the
-/// `matching` Criterion bench quantifies both.
+/// exhaustive scan while recovering its accuracy in practice —
+/// `perf_snapshot` times it (`heuristic_warm` against
+/// `packed_exhaustive`) and `tests/end_to_end.rs` checks the accuracy.
 ///
 /// The returned `ties` holds every *visited* face attaining the final
 /// similarity (a global tie scan would defeat the point of the heuristic).

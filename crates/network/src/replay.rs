@@ -106,23 +106,10 @@ impl Digest {
     }
 }
 
-/// Renders a digest value in the canonical artifact form: `0x`-prefixed,
-/// zero-padded, lowercase hex. Digests are serialized as *strings* in
-/// JSON because JSON numbers are f64 and lose integer precision above
-/// 2^53.
-pub fn digest_hex(value: u64) -> String {
-    format!("{value:#018x}")
-}
-
-/// Parses the canonical `0x…` hex form back to a value (the replay/diff
-/// and shard-merge parsers use this).
-pub fn parse_digest_hex(text: &str) -> Option<u64> {
-    let hex = text.strip_prefix("0x")?;
-    if hex.is_empty() || hex.len() > 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
+/// Digests travel in artifacts in the JSON module's canonical hex form:
+/// `0x`-prefixed, zero-padded, lowercase. JSON numbers are f64 and lose
+/// integer precision above 2^53.
+pub use wsn_telemetry::json::{format_hex as digest_hex, parse_hex as parse_digest_hex};
 
 /// Folds the live-node set of a grouping sampling: the node count followed
 /// by one byte per node (`1` = the node delivered at least one reading

@@ -185,7 +185,7 @@ fn render_metrics(snapshot: &wsn_telemetry::Snapshot, prom: bool) -> String {
     if prom {
         snapshot.to_prometheus()
     } else {
-        snapshot.to_json() + "\n"
+        snapshot.to_json()
     }
 }
 

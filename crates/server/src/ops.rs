@@ -34,8 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wsn_network::replay::digest_hex;
-use wsn_telemetry::json::{format_f64, format_str};
+use wsn_telemetry::json::compact;
 
 /// Largest request head (start-line + headers) the ops parser will read.
 /// Anything longer is answered `400` and dropped.
@@ -272,30 +271,41 @@ fn read_request_path(stream: &mut TcpStream) -> Result<String, String> {
 /// degraded iff the watchdog currently has any shard flagged stalled.
 fn healthz_json(state: &crate::server::ServerState) -> (bool, String) {
     let now = state.now_us();
-    let mut degraded = false;
-    let mut shards = Vec::with_capacity(state.shard_health.len());
-    for (i, h) in state.shard_health.iter().enumerate() {
-        let busy = h.busy_since_us.load(Ordering::Relaxed);
-        let stalled = h.stalled.load(Ordering::Relaxed);
-        degraded |= stalled;
-        shards.push(format!(
-            "{{\"shard\":{i},\"queued\":{},\"busy_us\":{},\"jobs_done\":{},\"stalled\":{stalled}}}",
-            h.queued.load(Ordering::Relaxed),
-            if busy == 0 {
+    let load = |v: &std::sync::atomic::AtomicU64| v.load(Ordering::Relaxed);
+    // One reading per shard, so the verdict and the body agree.
+    let shards: Vec<_> = state
+        .shard_health
+        .iter()
+        .map(|h| {
+            let busy = load(&h.busy_since_us);
+            let busy_us = if busy == 0 {
                 0
             } else {
                 now.saturating_sub(busy)
-            },
-            h.jobs_done.load(Ordering::Relaxed),
-        ));
-    }
-    let body = format!(
-        "{{\"status\":{},\"epoch\":{},\"sessions\":{},\"uptime_us\":{now},\"shards\":[{}]}}\n",
-        if degraded { "\"degraded\"" } else { "\"ok\"" },
-        state.epoch.load(Ordering::SeqCst),
-        state.session_count.load(Ordering::SeqCst),
-        shards.join(",")
-    );
+            };
+            let stalled = h.stalled.load(Ordering::Relaxed);
+            (load(&h.queued), busy_us, load(&h.jobs_done), stalled)
+        })
+        .collect();
+    let degraded = shards.iter().any(|s| s.3);
+    let body = compact(|o| {
+        o.field("status", if degraded { "degraded" } else { "ok" })
+            .field("epoch", state.epoch.load(Ordering::SeqCst))
+            .field("sessions", state.session_count.load(Ordering::SeqCst))
+            .field("uptime_us", now)
+            .array("shards", |a| {
+                for (i, (queued, busy_us, jobs_done, stalled)) in shards.iter().enumerate() {
+                    a.object(|shard| {
+                        shard
+                            .field("shard", i)
+                            .field("queued", queued)
+                            .field("busy_us", busy_us)
+                            .field("jobs_done", jobs_done)
+                            .field("stalled", stalled);
+                    });
+                }
+            });
+    });
     (degraded, body)
 }
 
@@ -307,51 +317,61 @@ fn serve_session(
 ) {
     match crate::server::query_session_via(state, txs, session) {
         Some(SessionView::Active(s)) => {
-            let last = match &s.last {
-                Some(r) => format!(
-                    "{{\"round\":{},\"t\":{},\"x\":{},\"y\":{},\"status\":{},\"face\":{}}}",
-                    r.round,
-                    format_f64(r.t),
-                    format_f64(r.x),
-                    format_f64(r.y),
-                    r.status,
-                    r.face
-                ),
-                None => "null".into(),
-            };
-            let body = format!(
-                "{{\"status\":\"active\",\"session\":{},\"epoch\":{},\"rounds\":{},\"digest\":{},\"last\":{last}}}\n",
-                s.session,
-                s.epoch,
-                s.rounds,
-                format_str(&digest_hex(s.digest)),
-            );
+            let body = compact(|o| {
+                o.field("status", "active")
+                    .field("session", s.session)
+                    .field("epoch", s.epoch)
+                    .field("rounds", s.rounds)
+                    .hex("digest", s.digest);
+                match &s.last {
+                    Some(r) => o.object("last", |last| {
+                        last.field("round", r.round)
+                            .field("t", r.t)
+                            .field("x", r.x)
+                            .field("y", r.y)
+                            .field("status", r.status)
+                            .field("face", r.face);
+                    }),
+                    None => o.field("last", None::<u64>),
+                };
+            });
             respond(stream, 200, "OK", "application/json", &body);
         }
         Some(SessionView::Retired {
             opened_epoch,
             current_epoch,
         }) => {
-            let body = format!(
-                "{{\"status\":\"retired\",\"session\":{session},\"opened_epoch\":{opened_epoch},\"current_epoch\":{current_epoch}}}\n",
-            );
+            let body = compact(|o| {
+                o.field("status", "retired")
+                    .field("session", session)
+                    .field("opened_epoch", opened_epoch)
+                    .field("current_epoch", current_epoch);
+            });
             respond(stream, 404, "Not Found", "application/json", &body);
         }
         Some(SessionView::Unknown { current_epoch }) => {
-            let body = format!(
-                "{{\"status\":\"unknown\",\"session\":{session},\"current_epoch\":{current_epoch}}}\n",
-            );
+            let body = compact(|o| {
+                o.field("status", "unknown")
+                    .field("session", session)
+                    .field("current_epoch", current_epoch);
+            });
             respond(stream, 404, "Not Found", "application/json", &body);
         }
         // Shard queue full or server draining: the session may well
         // exist, so this must not read as a 404.
-        None => respond(
-            stream,
-            503,
-            "Service Unavailable",
-            "application/json",
-            "{\"status\":\"unavailable\",\"detail\":\"owning shard is saturated or draining\"}\n",
-        ),
+        None => {
+            let body = compact(|o| {
+                o.field("status", "unavailable")
+                    .field("detail", "owning shard is saturated or draining");
+            });
+            respond(
+                stream,
+                503,
+                "Service Unavailable",
+                "application/json",
+                &body,
+            );
+        }
     }
 }
 

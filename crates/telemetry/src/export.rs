@@ -1,16 +1,12 @@
-//! Snapshot exporters: hand-formatted JSON and Prometheus text exposition.
+//! Snapshot exporters: JSON through the shared [`json::Writer`] and the
+//! Prometheus text exposition, which is not JSON and is formatted here.
 //!
-//! Both are written by hand (no serde) so the crate stays dependency-free;
-//! the JSON shape is stable and embedded verbatim inside the repo's
+//! The JSON shape is stable and embedded inside the repo's
 //! `BENCH_core.json` / `BENCH_robustness.json` artifacts.
 
-use crate::json::JsonValue;
+use crate::json::{self, format_f64, JsonValue, Obj};
 use crate::registry::{HistogramSnapshot, Snapshot};
 use std::fmt::Write as _;
-
-// The canonical formatters live in `crate::json` (public — the bench
-// artifacts reuse them); these aliases keep the crate-internal call sites.
-pub(crate) use crate::json::{format_f64 as json_f64, format_str as json_str};
 
 /// `a.b-c` → `a_b_c`: Prometheus metric names must match
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`. Every other character becomes `_`, a
@@ -84,54 +80,41 @@ fn claim_family(
 }
 
 impl Snapshot {
-    /// The snapshot as pretty-printed JSON (two-space indent, sorted keys,
-    /// no trailing newline).
+    /// The snapshot as a pretty JSON document (sorted keys, trailing
+    /// newline).
     pub fn to_json(&self) -> String {
-        self.to_json_indented("")
+        json::pretty(|o| self.write_json(o))
     }
 
-    /// Like [`Snapshot::to_json`], with every line after the first prefixed
-    /// by `base` — for embedding inside a larger hand-formatted JSON
-    /// document at `base` indentation.
-    pub fn to_json_indented(&self, base: &str) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("{base}    {}: {v}", json_str(k)))
-            .collect();
-        let _ = write!(out, "{base}  \"counters\": ");
-        push_block(&mut out, base, &counters);
-        out.push_str(",\n");
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("{base}    {}: {}", json_str(k), json_f64(*v)))
-            .collect();
-        let _ = write!(out, "{base}  \"gauges\": ");
-        push_block(&mut out, base, &gauges);
-        out.push_str(",\n");
-        let histograms: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let bounds: Vec<String> = h.bounds.iter().map(|b| json_f64(*b)).collect();
-                let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
-                format!(
-                    "{base}    {}: {{ \"bounds\": [{}], \"counts\": [{}], \"count\": {}, \"sum\": {} }}",
-                    json_str(k),
-                    bounds.join(", "),
-                    counts.join(", "),
-                    h.count,
-                    json_f64(h.sum),
-                )
-            })
-            .collect();
-        let _ = write!(out, "{base}  \"histograms\": ");
-        push_block(&mut out, base, &histograms);
-        let _ = write!(out, "\n{base}}}");
-        out
+    /// Writes the snapshot's `counters`, `gauges` and `histograms` members
+    /// into `out` — how an artifact embeds it (`o.object("metrics", |m|
+    /// snap.write_json(m))`).
+    pub fn write_json(&self, out: &mut Obj<'_>) {
+        out.object("counters", |o| {
+            for (k, v) in &self.counters {
+                o.field(k, v);
+            }
+        });
+        out.object("gauges", |o| {
+            for (k, v) in &self.gauges {
+                o.field(k, v);
+            }
+        });
+        out.object("histograms", |o| {
+            for (k, h) in &self.histograms {
+                o.object(k, |h_out| {
+                    h_out
+                        .array("bounds", |a| {
+                            a.items(&h.bounds);
+                        })
+                        .array("counts", |a| {
+                            a.items(&h.counts);
+                        })
+                        .field("count", h.count)
+                        .field("sum", h.sum);
+                });
+            }
+        });
     }
 
     /// The snapshot in the Prometheus text exposition format (version
@@ -156,7 +139,7 @@ impl Snapshot {
             let n = claim_family(&mut used, name, false);
             let _ = writeln!(out, "# HELP {n} {}", prom_help_text(name));
             let _ = writeln!(out, "# TYPE {n} gauge");
-            let _ = writeln!(out, "{n} {}", json_f64(*v));
+            let _ = writeln!(out, "{n} {}", format_f64(*v));
         }
         for (name, h) in &self.histograms {
             let n = claim_family(&mut used, name, true);
@@ -168,11 +151,11 @@ impl Snapshot {
                 let _ = writeln!(
                     out,
                     "{n}_bucket{{le=\"{}\"}} {cumulative}",
-                    prom_label_value(&json_f64(*bound))
+                    prom_label_value(&format_f64(*bound))
                 );
             }
             let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{n}_sum {}", json_f64(h.sum));
+            let _ = writeln!(out, "{n}_sum {}", format_f64(h.sum));
             let _ = writeln!(out, "{n}_count {}", h.count);
         }
         out
@@ -413,24 +396,28 @@ impl Snapshot {
     /// snapshots embedded inside a larger artifact).
     pub fn from_json_value(doc: &JsonValue) -> Result<Snapshot, String> {
         let mut snap = Snapshot::default();
-        for (name, v) in object_of(doc, "counters")? {
+        let ctx = "snapshot JSON";
+        for (name, v) in doc.req_object("counters", ctx)? {
             let n = v
                 .as_u64()
                 .ok_or_else(|| format!("counter {name:?}: not a non-negative integer"))?;
             snap.counters.insert(name.clone(), n);
         }
-        for (name, v) in object_of(doc, "gauges")? {
+        for (name, v) in doc.req_object("gauges", ctx)? {
             snap.gauges.insert(name.clone(), f64_or_nan(v, name)?);
         }
-        for (name, v) in object_of(doc, "histograms")? {
-            let bounds = array_of(v, name, "bounds")?
+        for (name, v) in doc.req_object("histograms", ctx)? {
+            let ctx = format!("histogram {name:?}");
+            let bounds = v
+                .req_array("bounds", &ctx)?
                 .iter()
                 .map(|b| {
                     b.as_f64()
                         .ok_or_else(|| format!("histogram {name:?}: non-numeric bound"))
                 })
                 .collect::<Result<Vec<f64>, String>>()?;
-            let counts = array_of(v, name, "counts")?
+            let counts = v
+                .req_array("counts", &ctx)?
                 .iter()
                 .map(|c| {
                     c.as_u64()
@@ -444,15 +431,8 @@ impl Snapshot {
                     bounds.len()
                 ));
             }
-            let count = v
-                .get("count")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("histogram {name:?}: missing integral \"count\""))?;
-            let sum = v
-                .get("sum")
-                .map(|s| f64_or_nan(s, name))
-                .transpose()?
-                .ok_or_else(|| format!("histogram {name:?}: missing \"sum\""))?;
+            let count = v.req_u64("count", &ctx)?;
+            let sum = f64_or_nan(v.req("sum", &ctx)?, name)?;
             snap.histograms.insert(
                 name.clone(),
                 HistogramSnapshot {
@@ -467,22 +447,6 @@ impl Snapshot {
     }
 }
 
-fn object_of<'a>(
-    doc: &'a JsonValue,
-    key: &str,
-) -> Result<&'a std::collections::BTreeMap<String, JsonValue>, String> {
-    match doc.get(key) {
-        Some(JsonValue::Obj(map)) => Ok(map),
-        _ => Err(format!("snapshot JSON: missing {key:?} object")),
-    }
-}
-
-fn array_of<'a>(v: &'a JsonValue, name: &str, key: &str) -> Result<&'a [JsonValue], String> {
-    v.get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("histogram {name:?}: missing {key:?} array"))
-}
-
 /// The writer spells NaN/∞ as `null`; re-parse it as NaN so a round-trip
 /// stays a gauge rather than an error.
 fn f64_or_nan(v: &JsonValue, name: &str) -> Result<f64, String> {
@@ -491,17 +455,6 @@ fn f64_or_nan(v: &JsonValue, name: &str) -> Result<f64, String> {
         other => other
             .as_f64()
             .ok_or_else(|| format!("{name:?}: not a number or null")),
-    }
-}
-
-/// Append a `{...}` object body whose entries are pre-rendered lines.
-fn push_block(out: &mut String, base: &str, entries: &[String]) {
-    if entries.is_empty() {
-        out.push_str("{}");
-    } else {
-        out.push_str("{\n");
-        out.push_str(&entries.join(",\n"));
-        let _ = write!(out, "\n{base}  }}");
     }
 }
 
@@ -527,9 +480,14 @@ mod tests {
                         \x20   \"session.samples_k\": 7\n\
                         \x20 },\n\
                         \x20 \"histograms\": {\n\
-                        \x20   \"match.tie_width\": { \"bounds\": [1, 2], \"counts\": [1, 0, 1], \"count\": 2, \"sum\": 6 }\n\
+                        \x20   \"match.tie_width\": {\n\
+                        \x20     \"bounds\": [1, 2],\n\
+                        \x20     \"counts\": [1, 0, 1],\n\
+                        \x20     \"count\": 2,\n\
+                        \x20     \"sum\": 6\n\
+                        \x20   }\n\
                         \x20 }\n\
-                        }";
+                        }\n";
         assert_eq!(json, expected);
     }
 
@@ -538,19 +496,8 @@ mod tests {
         let json = Registry::new().snapshot().to_json();
         assert_eq!(
             json,
-            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}"
+            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {}\n}\n"
         );
-    }
-
-    #[test]
-    fn json_indented_prefixes_continuation_lines() {
-        let r = Registry::new();
-        r.counter("c").inc();
-        let json = r.snapshot().to_json_indented("  ");
-        for line in json.lines().skip(1) {
-            assert!(line.starts_with("  "), "line {line:?} not indented");
-        }
-        assert!(json.ends_with("  }"));
     }
 
     #[test]
@@ -705,10 +652,13 @@ mod roundtrip_tests {
     }
 
     #[test]
-    fn embedded_and_indented_forms_reparse_too() {
+    fn embedded_form_reparses_too() {
         let snap = sample();
-        let embedded = format!("{{\n  \"metrics\": {}\n}}", snap.to_json_indented("  "));
-        let doc = crate::json::JsonValue::parse(&embedded).unwrap();
+        let doc = crate::json::JsonValue::parse(&crate::json::pretty(|o| {
+            o.field("bench", "x")
+                .object("metrics", |m| snap.write_json(m));
+        }))
+        .unwrap();
         let back = Snapshot::from_json_value(doc.get("metrics").unwrap()).unwrap();
         assert_eq!(back.counters, snap.counters);
         assert_eq!(back.histograms, snap.histograms);

@@ -19,11 +19,11 @@
 //! * **Plain-data export.** [`Journal::snapshot`] returns a [`TraceLog`]
 //!   sorted by sequence number, which renders as Chrome trace-event JSON
 //!   ([`TraceLog::to_chrome_json`], loadable in Perfetto / `chrome://tracing`)
-//!   or as line-delimited JSON ([`TraceLog::to_jsonl`]).
+//!   or as line-delimited JSON ([`TraceLog::to_jsonl`]); [`parse_journal`]
+//!   splits any of those forms back into its event objects.
 
-use crate::export::{json_f64, json_str};
+use crate::json::{self, JsonValue, Obj, Scalar, Writer};
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -45,13 +45,13 @@ pub enum ArgValue {
     Str(String),
 }
 
-impl ArgValue {
-    fn render_json(&self) -> String {
+impl Scalar for ArgValue {
+    fn write_to(&self, out: &mut String) {
         match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::F64(v) => json_f64(*v),
-            ArgValue::Bool(v) => v.to_string(),
-            ArgValue::Str(s) => json_str(s),
+            ArgValue::U64(v) => v.write_to(out),
+            ArgValue::F64(v) => v.write_to(out),
+            ArgValue::Bool(v) => v.write_to(out),
+            ArgValue::Str(s) => s.write_to(out),
         }
     }
 }
@@ -79,6 +79,18 @@ pub enum TraceKind {
         /// Session round index.
         round: u64,
     },
+}
+
+impl TraceKind {
+    /// The kind's tag in the JSONL forms.
+    fn tag(&self) -> &'static str {
+        match self {
+            TraceKind::SpanBegin { .. } => "span_begin",
+            TraceKind::SpanEnd { .. } => "span_end",
+            TraceKind::Instant => "instant",
+            TraceKind::Round { .. } => "round",
+        }
+    }
 }
 
 /// One journal entry.
@@ -272,112 +284,63 @@ impl TraceLog {
     /// sequence number, span ids and round index travel in `args` so no
     /// information is lost relative to [`TraceLog::to_jsonl`].
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"displayTimeUnit\": \"ms\",\n");
-        let _ = writeln!(
-            out,
-            "  \"otherData\": {{ \"capacity\": {}, \"dropped\": {}, \"emitted\": {} }},",
-            self.capacity,
-            self.dropped,
-            self.emitted()
-        );
-        out.push_str("  \"traceEvents\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let ph = match e.kind {
-                TraceKind::SpanBegin { .. } => "B",
-                TraceKind::SpanEnd { .. } => "E",
-                TraceKind::Instant | TraceKind::Round { .. } => "i",
-            };
-            let mut args = format!("\"seq\": {}", e.seq);
-            match &e.kind {
-                TraceKind::SpanBegin { id, parent } => {
-                    let _ = write!(args, ", \"span\": {id}");
-                    match parent {
-                        Some(p) => {
-                            let _ = write!(args, ", \"parent\": {p}");
-                        }
-                        None => args.push_str(", \"parent\": null"),
+        json::pretty(|o| {
+            o.field("displayTimeUnit", "ms")
+                .object("otherData", |d| self.write_counts(d))
+                .array("traceEvents", |a| {
+                    for e in &self.events {
+                        a.object(|ev| {
+                            let ph = match e.kind {
+                                TraceKind::SpanBegin { .. } => "B",
+                                TraceKind::SpanEnd { .. } => "E",
+                                TraceKind::Instant | TraceKind::Round { .. } => "i",
+                            };
+                            ev.field("name", e.name)
+                                .field("cat", "fttt")
+                                .field("ph", ph);
+                            if ph == "i" {
+                                ev.field("s", "t");
+                            }
+                            ev.field("ts", e.t_us)
+                                .field("pid", 0)
+                                .field("tid", e.thread)
+                                .object("args", |args| {
+                                    args.field("seq", e.seq);
+                                    write_kind_ids(args, &e.kind);
+                                    write_args(args, e);
+                                });
+                        });
                     }
-                }
-                TraceKind::SpanEnd { id } => {
-                    let _ = write!(args, ", \"span\": {id}");
-                }
-                TraceKind::Round { round } => {
-                    let _ = write!(args, ", \"round\": {round}");
-                }
-                TraceKind::Instant => {}
-            }
-            for (k, v) in &e.args {
-                let _ = write!(args, ", {}: {}", json_str(k), v.render_json());
-            }
-            let instant_scope = if ph == "i" { ", \"s\": \"t\"" } else { "" };
-            let _ = write!(
-                out,
-                "    {{ \"name\": {}, \"cat\": \"fttt\", \"ph\": \"{ph}\"{instant_scope}, \
-                 \"ts\": {}, \"pid\": 0, \"tid\": {}, \"args\": {{ {args} }} }}",
-                json_str(e.name),
-                json_f64(e.t_us),
-                e.thread,
-            );
-            out.push_str(if i + 1 == self.events.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+                });
+        })
+    }
+
+    fn write_counts(&self, o: &mut Obj<'_>) {
+        o.field("capacity", self.capacity)
+            .field("dropped", self.dropped)
+            .field("emitted", self.emitted());
     }
 
     /// The log as line-delimited JSON: one meta line (`kind: "meta"` with
     /// capacity/dropped/emitted) followed by one object per event.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"meta\",\"capacity\":{},\"dropped\":{},\"emitted\":{}}}",
-            self.capacity,
-            self.dropped,
-            self.emitted()
-        );
+        let mut w = Writer::compact();
+        w.object(|o| {
+            o.field("kind", "meta");
+            self.write_counts(o);
+        });
         for e in &self.events {
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"ts_us\":{},\"thread\":{},\"name\":{}",
-                e.seq,
-                json_f64(e.t_us),
-                e.thread,
-                json_str(e.name)
-            );
-            match &e.kind {
-                TraceKind::SpanBegin { id, parent } => {
-                    let _ = write!(out, ",\"kind\":\"span_begin\",\"span\":{id},\"parent\":");
-                    match parent {
-                        Some(p) => {
-                            let _ = write!(out, "{p}");
-                        }
-                        None => out.push_str("null"),
-                    }
-                }
-                TraceKind::SpanEnd { id } => {
-                    let _ = write!(out, ",\"kind\":\"span_end\",\"span\":{id}");
-                }
-                TraceKind::Instant => out.push_str(",\"kind\":\"instant\""),
-                TraceKind::Round { round } => {
-                    let _ = write!(out, ",\"kind\":\"round\",\"round\":{round}");
-                }
-            }
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{}", json_str(k), v.render_json());
-            }
-            out.push_str("}}\n");
+            w.object(|o| {
+                o.field("seq", e.seq)
+                    .field("ts_us", e.t_us)
+                    .field("thread", e.thread)
+                    .field("name", e.name)
+                    .field("kind", e.kind.tag());
+                write_kind_ids(o, &e.kind);
+                o.object("args", |args| write_args(args, e));
+            });
         }
-        out
+        w.finish()
     }
 
     /// The log in the *canonical* line-delimited form used by the
@@ -396,39 +359,94 @@ impl TraceLog {
     /// the leading meta line carries the drop count so a diff surfaces a
     /// lossy capture instead of silently passing on a truncated log.
     pub fn to_canonical_jsonl(&self) -> String {
-        let mut lines: Vec<String> = Vec::with_capacity(self.events.len());
-        for e in &self.events {
-            let mut line = format!("{{\"name\":{}", json_str(e.name));
-            match &e.kind {
-                TraceKind::SpanBegin { .. } => line.push_str(",\"kind\":\"span_begin\""),
-                TraceKind::SpanEnd { .. } => line.push_str(",\"kind\":\"span_end\""),
-                TraceKind::Instant => line.push_str(",\"kind\":\"instant\""),
-                TraceKind::Round { round } => {
-                    let _ = write!(line, ",\"kind\":\"round\",\"round\":{round}");
-                }
-            }
-            line.push_str(",\"args\":{");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                let _ = write!(line, "{}:{}", json_str(k), v.render_json());
-            }
-            line.push_str("}}");
-            lines.push(line);
-        }
+        let mut lines: Vec<String> = self
+            .events
+            .iter()
+            .map(|e| {
+                json::compact(|o| {
+                    o.field("name", e.name).field("kind", e.kind.tag());
+                    if let TraceKind::Round { round } = e.kind {
+                        o.field("round", round);
+                    }
+                    o.object("args", |args| write_args(args, e));
+                })
+            })
+            .collect();
+        // Each line ends in its newline, which sorts below every byte a
+        // compact line can hold, so this is the order of the bare lines.
         lines.sort_unstable();
-        let mut out = format!(
-            "{{\"kind\":\"meta\",\"events\":{},\"dropped\":{}}}\n",
-            lines.len(),
-            self.dropped
-        );
-        for line in &lines {
-            out.push_str(line);
-            out.push('\n');
-        }
+        let mut out = json::compact(|o| {
+            o.field("kind", "meta")
+                .field("events", lines.len())
+                .field("dropped", self.dropped);
+        });
+        out.extend(lines);
         out
     }
+}
+
+/// The ids a kind carries: `span` and `parent` on spans, `round` on
+/// round markers.
+fn write_kind_ids(out: &mut Obj<'_>, kind: &TraceKind) {
+    match kind {
+        TraceKind::SpanBegin { id, parent } => out.field("span", id).field("parent", parent),
+        TraceKind::SpanEnd { id } => out.field("span", id),
+        TraceKind::Round { round } => out.field("round", round),
+        TraceKind::Instant => out,
+    };
+}
+
+fn write_args(out: &mut Obj<'_>, e: &TraceEvent) {
+    for (k, v) in &e.args {
+        out.field(k, v);
+    }
+}
+
+/// Splits a journal file's text into its event objects, for every form
+/// [`TraceLog`] writes: a Chrome trace-event document (the events of its
+/// `traceEvents` array) or line-delimited JSON, plain or canonical (one
+/// event per line; the meta line and blank lines are skipped). Returns
+/// the events in file order and the journal's dropped-event count when
+/// the file records one.
+///
+/// A line that does not parse, or parses to something other than a
+/// meta line or a named event, makes the whole file an error, so a
+/// foreign JSON file is refused instead of read as an empty journal.
+pub fn parse_journal(text: &str) -> Result<(Vec<JsonValue>, Option<u64>), String> {
+    if let Ok(doc) = JsonValue::parse(text) {
+        if let Some(events) = doc.get("traceEvents").and_then(JsonValue::as_array) {
+            let dropped = doc
+                .get("otherData")
+                .and_then(|o| o.get("dropped"))
+                .and_then(JsonValue::as_u64);
+            return Ok((events.to_vec(), dropped));
+        }
+        // Only a one-line JSONL journal parses whole and is not Chrome.
+        if text.trim().contains('\n') {
+            return Err("not a trace file: no \"traceEvents\" array".into());
+        }
+    }
+    let mut events = Vec::new();
+    let mut dropped = None;
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let event = JsonValue::parse(line).map_err(|e| format!("journal line {}: {e}", i + 1))?;
+        if event.get("kind").and_then(JsonValue::as_str) == Some("meta") {
+            dropped = event.get("dropped").and_then(JsonValue::as_u64);
+            continue;
+        }
+        if event.get("name").and_then(JsonValue::as_str).is_none() {
+            return Err(format!(
+                "not a trace file: journal line {} is neither a meta line nor a named event",
+                i + 1
+            ));
+        }
+        events.push(event);
+    }
+    Ok((events, dropped))
 }
 
 #[cfg(test)]
@@ -568,7 +586,11 @@ mod tests {
         };
         let expected = "{\n\
             \x20 \"displayTimeUnit\": \"ms\",\n\
-            \x20 \"otherData\": { \"capacity\": 8, \"dropped\": 1, \"emitted\": 4 },\n\
+            \x20 \"otherData\": {\n\
+            \x20   \"capacity\": 8,\n\
+            \x20   \"dropped\": 1,\n\
+            \x20   \"emitted\": 4\n\
+            \x20 },\n\
             \x20 \"traceEvents\": [\n\
             \x20   { \"name\": \"fttt.build.total\", \"cat\": \"fttt\", \"ph\": \"B\", \"ts\": 1.5, \"pid\": 0, \"tid\": 0, \"args\": { \"seq\": 0, \"span\": 0, \"parent\": null } },\n\
             \x20   { \"name\": \"fttt.session.round\", \"cat\": \"fttt\", \"ph\": \"i\", \"s\": \"t\", \"ts\": 2, \"pid\": 0, \"tid\": 0, \"args\": { \"seq\": 1, \"round\": 3, \"cause\": \"starved\", \"missing\": 0.75, \"held\": false, \"k_after\": 7 } },\n\
@@ -653,6 +675,59 @@ mod tests {
             {\"name\":\"fttt.build.total\",\"kind\":\"span_begin\",\"args\":{}}\n\
             {\"name\":\"fttt.session.round\",\"kind\":\"round\",\"round\":3,\"args\":{\"session\":7,\"cause\":\"starved\"}}\n";
         assert_eq!(canon, expected);
+    }
+
+    /// Every serialization splits into the same events, and an empty
+    /// journal is an empty journal in each form, not a foreign file.
+    #[test]
+    fn parse_journal_reads_every_form() {
+        let j = Journal::with_capacity(8);
+        assert_eq!(
+            parse_journal(&j.snapshot().to_jsonl()),
+            Ok((vec![], Some(0)))
+        );
+        assert_eq!(
+            parse_journal(&j.snapshot().to_chrome_json()),
+            Ok((vec![], Some(0)))
+        );
+        assert_eq!(
+            parse_journal(&j.snapshot().to_canonical_jsonl()),
+            Ok((vec![], Some(0)))
+        );
+        j.record(
+            "a",
+            TraceKind::Round { round: 2 },
+            vec![("k", ArgValue::U64(5))],
+        );
+        instant(&j, "b");
+        let log = j.snapshot();
+        let names = |text: &str| {
+            let (events, dropped) = parse_journal(text).unwrap();
+            assert_eq!(dropped, Some(0));
+            events
+                .iter()
+                .map(|e| {
+                    e.get("name")
+                        .and_then(JsonValue::as_str)
+                        .unwrap()
+                        .to_string()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&log.to_jsonl()), ["a", "b"]);
+        assert_eq!(names(&log.to_chrome_json()), ["a", "b"]);
+        assert_eq!(names(&log.to_canonical_jsonl()), ["a", "b"]);
+        assert_eq!(parse_journal(""), Ok((vec![], None)));
+    }
+
+    #[test]
+    fn parse_journal_refuses_foreign_text() {
+        let err = parse_journal("{\"hello\": 1}").unwrap_err();
+        assert!(err.contains("not a trace file"), "{err}");
+        let err = parse_journal("{\n  \"hello\": 1\n}\n").unwrap_err();
+        assert!(err.contains("no \"traceEvents\""), "{err}");
+        let err = parse_journal("{\"kind\":\"meta\"}\nnot json").unwrap_err();
+        assert!(err.contains("journal line 2"), "{err}");
     }
 
     #[test]
