@@ -48,9 +48,10 @@
 //! sharded runs produce bit-identical rows and checksums.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use fttt::config::PaperParams;
-use fttt::facemap::{FaceMap, RepairMode};
+use fttt::facemap::{FaceMap, RepairMode, RepairReport};
 use fttt::replay::{digest_face_map, digest_hex, digest_world, Digest};
 use fttt::session::{SessionOptions, SessionRun, TrackStatus, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
@@ -350,32 +351,71 @@ fn campaign_params(cfg: &CampaignConfig) -> PaperParams {
 }
 
 /// The per-cell immutable context one trial runs against: the campaign's
-/// shared deployment (the face map is built once per campaign and cloned
-/// per trial — the build is deterministic, so this is purely a time
-/// saver) plus the cell's parsed schedule.
+/// shared deployment and face map (built once per campaign; every session
+/// starts on it without a copy), the cell's parsed schedule, and — for
+/// repairing churn cells — the cell's [`repair_chain`].
 struct TrialEnv<'a> {
     params: &'a PaperParams,
     field: &'a SensorField,
-    map: &'a FaceMap,
+    map: &'a Arc<FaceMap>,
     schedule: &'a Schedule,
+    chain: &'a [ChainLink],
     duration: f64,
+}
+
+/// One churn event of a repairing cell, repaired once for all its trials.
+struct ChainLink {
+    map: Arc<FaceMap>,
+    report: RepairReport,
+    /// [`digest_face_map`] of `map`, folded into every trial's world
+    /// digest.
+    digest: u64,
+}
+
+/// A repairing cell's churn chain: every churn event of `schedule`, in
+/// order, each repaired from the map the previous one left, starting at
+/// `base`. Repair is deterministic, so every trial of the cell adopts
+/// these maps instead of re-deriving (and re-digesting) them: the chain
+/// costs one repair and one digest per event per cell, whatever the trial
+/// count. A trial whose trace ends early adopts a prefix.
+fn repair_chain(
+    base: &Arc<FaceMap>,
+    schedule: &Schedule,
+    nodes: usize,
+    mode: RepairMode,
+) -> Vec<ChainLink> {
+    let mut map = Arc::clone(base);
+    schedule
+        .engine(nodes)
+        .churn_events_between(None, f64::INFINITY)
+        .into_iter()
+        .map(|e| {
+            let (next, report) = map.repaired(e.node, e.death, mode);
+            map = Arc::new(next);
+            ChainLink {
+                digest: digest_face_map(&map),
+                map: Arc::clone(&map),
+                report,
+            }
+        })
+        .collect()
 }
 
 /// Runs one seeded session trial, returning the run plus its replay
 /// digest; `session_id` must be the trial's stable id.
 ///
-/// For churn cells (`churn` is `Some`), the schedule's churn events are
-/// applied between rounds at their simulation times: repairing policies
-/// call [`TrackingSession::apply_churn`] and fold the post-repair map
-/// epoch and [`digest_face_map`] into the world digest, so the digest
-/// pins not just what the session saw but the exact map it matched
-/// against after every repair. The stale policy applies nothing — the
-/// regime still silences the dead columns, but the map (and the digest)
-/// never move.
+/// For repairing churn cells (a non-empty `env.chain`), the schedule's
+/// churn events are applied between rounds at their simulation times:
+/// the session adopts the chain's next map
+/// ([`TrackingSession::adopt_repair`]) and folds its epoch and
+/// [`digest_face_map`] into the world digest, so the digest pins not just
+/// what the session saw but the exact map it matched against after every
+/// repair. Every other cell — the stale churn policy included — applies
+/// nothing: the regime still silences the dead columns, but the map (and
+/// the digest) never move.
 fn run_session_trial(
     env: &TrialEnv<'_>,
     extended: bool,
-    churn: Option<ChurnPolicy>,
     seed: u64,
     session_id: u64,
 ) -> (SessionRun, u64) {
@@ -384,6 +424,7 @@ fn run_session_trial(
         field,
         map,
         schedule,
+        chain,
         duration,
     } = *env;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -399,8 +440,9 @@ fn run_session_trial(
         TrackerOptions::heuristic()
     };
     let session_options = SessionOptions::new(params.samples_k).with_max_speed(params.max_speed);
-    let mut session = TrackingSession::new(Tracker::new(map.clone(), options), session_options)
-        .with_session_id(session_id);
+    let mut session =
+        TrackingSession::new(Tracker::shared(Arc::clone(map), options), session_options)
+            .with_session_id(session_id);
     // The engine and world digest are shared between the sampling closure
     // and the between-rounds churn closure; the two never run
     // concurrently, so runtime borrows are safe.
@@ -408,6 +450,7 @@ fn run_session_trial(
     let base = params.sampler();
     let world = RefCell::new(Digest::new());
     let mut prev_t: Option<f64> = None;
+    let mut links = chain.iter();
     let run = session.run_with(
         &trace,
         &mut rng,
@@ -423,21 +466,23 @@ fn run_session_trial(
             g
         },
         |s, t| {
-            let Some(policy) = churn else { return };
-            let events = engine.borrow().churn_events_between(prev_t, t);
-            prev_t = Some(t);
-            let mode = match policy {
-                ChurnPolicy::Stale => None,
-                ChurnPolicy::Incremental => Some(RepairMode::Incremental),
-                ChurnPolicy::Rebuild => Some(RepairMode::Rebuild),
-            };
-            for e in events {
-                let Some(mode) = mode else { continue };
-                let report = s.apply_churn(t, e.node, e.death, mode);
-                let mut w = world.borrow_mut();
-                w.write_u64(report.epoch);
-                w.write_u64(digest_face_map(s.tracker().map()));
+            if chain.is_empty() {
+                return;
             }
+            for e in engine.borrow().churn_events_between(prev_t, t) {
+                let link = links.next().expect("the cell chain covers every event");
+                assert_eq!(
+                    (link.report.node, link.report.death),
+                    (e.node, e.death),
+                    "churn event at t = {} left the cell chain",
+                    e.t
+                );
+                s.adopt_repair(t, Arc::clone(&link.map), &link.report);
+                let mut w = world.borrow_mut();
+                w.write_u64(link.report.epoch);
+                w.write_u64(link.digest);
+            }
+            prev_t = Some(t);
         },
     );
     let mut digest = Digest::new();
@@ -504,19 +549,33 @@ pub fn run_campaign_stats(
     );
     let params = campaign_params(cfg);
     let field = params.grid_field();
-    let map = params.face_map(&field);
-    let map_digest = fttt::replay::digest_face_map(&map);
+    let map = Arc::new(params.face_map(&field));
+    let map_digest = digest_face_map(&map);
     let cells = campaign_cells(kind);
     journal_header(cfg, kind, &cells, map_digest);
     let mut stats = Vec::with_capacity(cells.len() * cfg.trials.div_ceil(shards));
     for cell in &cells {
         let schedule = Schedule::parse(&cell.schedule_text).expect("cell schedule is valid");
-        let churn = churn_policy_of(&cell.regime);
+        // Built on this thread before the trials fan out (a chain the
+        // workers fill lazily peaks higher in memory) and dropped with the
+        // cell. One chain per cell, never shared across policies, so the
+        // incremental and rebuild cells stay independent computations for
+        // `check_churn_digests` to compare.
+        let chain = match churn_policy_of(&cell.regime) {
+            Some(ChurnPolicy::Incremental) => {
+                repair_chain(&map, &schedule, field.len(), RepairMode::Incremental)
+            }
+            Some(ChurnPolicy::Rebuild) => {
+                repair_chain(&map, &schedule, field.len(), RepairMode::Rebuild)
+            }
+            Some(ChurnPolicy::Stale) | None => Vec::new(),
+        };
         let env = TrialEnv {
             params: &params,
             field: &field,
             map: &map,
             schedule: &schedule,
+            chain: &chain,
             duration: cfg.duration,
         };
         let idx: Vec<u64> = (0..cfg.trials as u64)
@@ -534,7 +593,7 @@ pub fn run_campaign_stats(
                 i,
                 map.epoch(),
             );
-            let (run, digest) = run_session_trial(&env, cell.extended, churn, seed, session);
+            let (run, digest) = run_session_trial(&env, cell.extended, seed, session);
             let stat = trial_stat_of(cell, i, seed, session, &run, digest);
             journal_trial(cell, &stat);
             stat
@@ -1054,21 +1113,22 @@ mod tests {
         };
         let params = campaign_params(&cfg);
         let field = params.grid_field();
-        let map = params.face_map(&field);
+        let map = Arc::new(params.face_map(&field));
         let schedule = Schedule::parse("static node_failure=0.3").unwrap();
         let env = TrialEnv {
             params: &params,
             field: &field,
             map: &map,
             schedule: &schedule,
+            chain: &[],
             duration: cfg.duration,
         };
-        let a = run_session_trial(&env, false, None, 123, 1);
-        let b = run_session_trial(&env, false, None, 123, 1);
+        let a = run_session_trial(&env, false, 123, 1);
+        let b = run_session_trial(&env, false, 123, 1);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1, "trial digests must agree");
         // A different seed must move the digest.
-        let c = run_session_trial(&env, false, None, 124, 1);
+        let c = run_session_trial(&env, false, 124, 1);
         assert_ne!(a.1, c.1, "different seed, same digest — digest is blind");
     }
 

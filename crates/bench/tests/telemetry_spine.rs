@@ -54,8 +54,8 @@ fn campaign_populates_every_telemetry_layer() {
     let snap = registry.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
 
-    // Build layer: the campaign builds one shared face map (trials clone
-    // it — the build is deterministic), plus the explicit build below.
+    // Build layer: the campaign builds one face map that every trial
+    // shares, plus the explicit build below.
     assert!(counter("fttt.build.calls") >= 2, "{:?}", snap.counters);
     assert!(counter("fttt.build.faces") > 0);
     assert!(snap.histograms.contains_key("fttt.build.total"));

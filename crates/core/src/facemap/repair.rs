@@ -47,10 +47,12 @@ use wsn_telemetry as telemetry;
 /// How a churn repair recomputes the map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairMode {
-    /// Patch only what the churned node touches (the default; sub-ms at
-    /// campaign scale). Falls back to a full rebuild for births into
-    /// rosters larger than 65 sensors, where the packed fresh-bit path
-    /// runs out of bits.
+    /// Patch only what the churned node touches (the default). The
+    /// repair still re-assembles the whole map, so its cost is linear in
+    /// the cell count: about 0.6 ms at n = 10 and 2.7 ms at n = 40 on a
+    /// 2 m grid, against 1.1 ms and 6.0 ms for [`RepairMode::Rebuild`].
+    /// Falls back to a full rebuild for births into rosters larger than
+    /// 65 sensors, where the packed fresh-bit path runs out of bits.
     Incremental,
     /// Re-rasterize the whole field from the survivor set — the
     /// reference/control path. Produces a bit-identical map (including
@@ -224,31 +226,46 @@ fn deployment_pair_gather(n: usize, live: &[u32]) -> Vec<u32> {
 
 impl FaceMap {
     /// Retires deployment node `node` from the map: removes its pair
-    /// planes, merges faces its boundaries separated, patches the
-    /// neighbor graph and chunk envelopes, and bumps the epoch. The
-    /// resulting map is bit-identical to building from the survivors.
+    /// planes, merges faces its boundaries separated, and bumps the epoch.
+    /// The resulting map is bit-identical to building from the survivors.
+    /// In-place form of [`FaceMap::repaired`].
     ///
     /// # Panics
     ///
     /// Panics if `node` is outside the deployment, already dead, or if
     /// fewer than two sensors would remain.
     pub fn kill_node(&mut self, node: usize, mode: RepairMode) -> RepairReport {
-        self.repair(node, true, mode)
+        let (map, report) = self.repaired(node, true, mode);
+        *self = map;
+        report
     }
 
     /// Returns deployment node `node` to the map: re-rasterizes its pair
-    /// planes (and only those), splits the faces its boundaries cut,
-    /// patches the neighbor graph and chunk envelopes, and bumps the
-    /// epoch. Bit-identical to building from the enlarged live set.
+    /// planes (and only those), splits the faces its boundaries cut, and
+    /// bumps the epoch. Bit-identical to building from the enlarged live
+    /// set. In-place form of [`FaceMap::repaired`].
     ///
     /// # Panics
     ///
     /// Panics if `node` is outside the deployment or already live.
     pub fn revive_node(&mut self, node: usize, mode: RepairMode) -> RepairReport {
-        self.repair(node, false, mode)
+        let (map, report) = self.repaired(node, false, mode);
+        *self = map;
+        report
     }
 
-    fn repair(&mut self, node: usize, death: bool, mode: RepairMode) -> RepairReport {
+    /// The map after one churn event — a death of `node` when `death`,
+    /// a birth otherwise — with `self` left untouched. Either mode builds
+    /// a fresh map (the survivors' planes, groups, neighbor graph and
+    /// chunk envelopes all go through [`assemble`]), so a caller holding
+    /// a shared map needs no private copy to repair it, and one repaired
+    /// map can be handed to any number of sessions.
+    ///
+    /// # Panics
+    ///
+    /// As [`FaceMap::kill_node`] for a death, [`FaceMap::revive_node`]
+    /// for a birth.
+    pub fn repaired(&self, node: usize, death: bool, mode: RepairMode) -> (FaceMap, RepairReport) {
         let _span = telemetry::span("fttt.map.repair.total");
         let start = std::time::Instant::now();
         assert!(
@@ -313,19 +330,15 @@ impl FaceMap {
                 (nf, map.faces[nf as usize].cell_count == of.cell_count)
             })
             .collect();
-        let faces_after = map.faces.len();
-        let epoch = map.epoch;
-        *self = map;
-
         let report = RepairReport {
-            epoch,
+            epoch: map.epoch,
             node,
             death,
             planes_retired: old_dim.saturating_sub(new_dim),
             planes_added: new_dim.saturating_sub(old_dim),
             cells_reclassified,
             faces_before,
-            faces_after,
+            faces_after: map.faces.len(),
             repair_us: start.elapsed().as_secs_f64() * 1e6,
             remap,
         };
@@ -339,7 +352,7 @@ impl FaceMap {
             telemetry::counter_add("fttt.map.repair.cells", report.cells_reclassified as u64);
             telemetry::counter_add("fttt.map.repair.us", report.repair_us.round() as u64);
         }
-        report
+        (map, report)
     }
 
     /// Reference repair: re-rasterize everything from the survivor set
@@ -591,6 +604,37 @@ mod tests {
         assert_eq!(report.cells_reclassified, 0);
         let reference = FaceMap::build(&survivors(&[2]), field(), 1.15, 2.5);
         assert_same_division(&map, &reference);
+    }
+
+    /// `repaired` leaves its source map untouched and returns exactly the
+    /// map the in-place `kill_node`/`revive_node` would have left, in both
+    /// modes and both directions.
+    #[test]
+    fn repaired_leaves_the_source_untouched() {
+        use crate::replay::digest_face_map;
+        let mut dead = build();
+        dead.kill_node(3, RepairMode::Incremental);
+        for mode in [RepairMode::Incremental, RepairMode::Rebuild] {
+            for (source, death) in [(build(), true), (dead.clone(), false)] {
+                let (epoch, digest) = (source.epoch(), digest_face_map(&source));
+                let (map, report) = source.repaired(3, death, mode);
+                assert_eq!(source.epoch(), epoch, "{mode:?} death={death}");
+                assert_eq!(digest_face_map(&source), digest, "{mode:?} death={death}");
+                let mut in_place = source.clone();
+                let in_place_report = if death {
+                    in_place.kill_node(3, mode)
+                } else {
+                    in_place.revive_node(3, mode)
+                };
+                assert_eq!(report.epoch, epoch + 1);
+                assert_eq!(report.epoch, in_place_report.epoch);
+                assert_eq!(
+                    digest_face_map(&map),
+                    digest_face_map(&in_place),
+                    "{mode:?} death={death}"
+                );
+            }
+        }
     }
 
     #[test]

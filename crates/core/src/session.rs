@@ -30,10 +30,11 @@
 //! fault regime — and decays `k` back once rounds run healthy again.
 
 use crate::error::ErrorStats;
-use crate::facemap::{FaceId, RepairMode, RepairReport};
+use crate::facemap::{FaceId, FaceMap, RepairMode, RepairReport};
 use crate::theory::required_sampling_times;
 use crate::tracker::Tracker;
 use rand::Rng;
+use std::sync::Arc;
 use wsn_geometry::Point;
 use wsn_mobility::Trace;
 use wsn_network::{pair_count, GroupSampling};
@@ -525,8 +526,27 @@ impl TrackingSession {
     }
 
     /// Applies one churn event (death when `death`, birth otherwise) at
-    /// simulation time `t`: repairs the tracker's face map, migrates the
-    /// warm start across the epoch bump, restarts the health monitor's
+    /// simulation time `t`: repairs the tracker's face map
+    /// ([`FaceMap::repaired`]) and adopts the result
+    /// ([`TrackingSession::adopt_repair`]).
+    pub fn apply_churn(
+        &mut self,
+        t: f64,
+        node: usize,
+        death: bool,
+        mode: RepairMode,
+    ) -> RepairReport {
+        let (map, report) = self.tracker.map().repaired(node, death, mode);
+        self.adopt_repair(t, Arc::new(map), &report);
+        report
+    }
+
+    /// Switches the session at simulation time `t` to `map`, the result
+    /// of repairing its current map as `report` describes — computed once
+    /// and shared by every session that sees the same churn (the fault
+    /// campaign repairs each event once per cell, not once per trial).
+    /// Migrates the warm start across the epoch bump
+    /// ([`Tracker::adopt_repair`]), restarts the health monitor's
     /// similarity window (its medians were measured against the old pair
     /// dimension), and — when the warm-start face did not survive the
     /// repair exactly — re-enters the recovery ladder at a forced full
@@ -536,16 +556,14 @@ impl TrackingSession {
     /// Emits one `fttt.map.repair` journal event (the record `fttt-sim
     /// explain` renders) with the post-repair epoch hex-encoded like
     /// every other u64 digest.
-    pub fn apply_churn(
-        &mut self,
-        t: f64,
-        node: usize,
-        death: bool,
-        mode: RepairMode,
-    ) -> RepairReport {
-        let (report, warm_exact) = self.tracker.apply_churn(node, death, mode);
+    ///
+    /// # Panics
+    ///
+    /// As [`Tracker::adopt_repair`]: `report` must be a repair of the
+    /// session's current map.
+    pub fn adopt_repair(&mut self, t: f64, map: Arc<FaceMap>, report: &RepairReport) {
+        let face_remapped = !self.tracker.adopt_repair(map, report);
         self.recent_sims.clear();
-        let face_remapped = !warm_exact;
         if face_remapped {
             self.force_reacquire = true;
         }
@@ -581,7 +599,6 @@ impl TrackingSession {
                 ],
             );
         }
-        report
     }
 
     fn hold_estimate(&self) -> Point {
@@ -754,7 +771,6 @@ pub fn status_name(status: TrackStatus) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::facemap::FaceMap;
     use crate::tracker::TrackerOptions;
     use rand::SeedableRng;
     use wsn_geometry::Rect;

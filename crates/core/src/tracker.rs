@@ -2,7 +2,7 @@
 //! face matching → location estimate, repeated along a trace.
 
 use crate::error::ErrorStats;
-use crate::facemap::{FaceId, FaceMap, RepairMode, RepairReport};
+use crate::facemap::{FaceId, FaceMap, RepairReport};
 use crate::matching::{match_heuristic, match_indexed, MatchOutcome};
 use crate::sampling::{basic_sampling_vector, extended_sampling_vector};
 use crate::vector::SamplingVector;
@@ -151,8 +151,9 @@ impl TrackingRun {
 ///
 /// The map is behind an [`Arc`] so a server hosting tens of thousands of
 /// concurrent sessions keeps one copy of the division instead of one per
-/// session; [`Tracker::apply_churn`] copies-on-write, so a tracker that
-/// repairs its map privately never disturbs its siblings.
+/// session. A churn repair never writes to the shared map: it builds a
+/// new one ([`FaceMap::repaired`]), which one or many trackers then
+/// switch to with [`Tracker::adopt_repair`].
 #[derive(Debug, Clone)]
 pub struct Tracker {
     map: Arc<FaceMap>,
@@ -168,7 +169,7 @@ impl Tracker {
     }
 
     /// Creates a tracker over a face map shared with other trackers. No
-    /// map data is copied unless this tracker later churns its map.
+    /// map data is copied.
     pub fn shared(map: Arc<FaceMap>, options: TrackerOptions) -> Self {
         Self {
             map,
@@ -233,29 +234,31 @@ impl Tracker {
         self.map.project_sampling_vector(v)
     }
 
-    /// Repairs the tracker's map for one churn event (death when `death`,
-    /// birth otherwise) and migrates the warm-start state across the
-    /// epoch bump: the previous face is remapped through the repair's
-    /// old→new face table, and the rolling similarity window — measured
-    /// against the old pair dimension — is restarted. Returns the repair
-    /// report and whether the warm-start face survived the repair
-    /// *exactly* (same cell set); callers should treat an inexact
-    /// survival as a stale warm start and force a full re-acquisition.
-    pub fn apply_churn(
-        &mut self,
-        node: usize,
-        death: bool,
-        mode: RepairMode,
-    ) -> (RepairReport, bool) {
-        // Copy-on-write: a shared map is cloned once here and the repair
-        // runs on the private copy; an exclusively-owned map is repaired
-        // in place with no copy at all.
-        let map = Arc::make_mut(&mut self.map);
-        let report = if death {
-            map.kill_node(node, mode)
-        } else {
-            map.revive_node(node, mode)
-        };
+    /// Switches the tracker to `map`, the result of repairing its current
+    /// map as `report` describes ([`FaceMap::repaired`]), and migrates the
+    /// warm-start state across the epoch bump: the previous face is
+    /// remapped through the report's old→new face table, and the rolling
+    /// similarity window — measured against the old pair dimension — is
+    /// restarted. Many trackers can adopt one repaired map. Returns
+    /// whether the warm-start face survived the repair *exactly* (same
+    /// cell set); callers should treat an inexact survival as a stale
+    /// warm start and force a full re-acquisition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `report` is not a repair of the tracker's current map:
+    /// its epoch must be one past the current map's, its remap must cover
+    /// the current faces, and `map` must carry the report's epoch.
+    pub fn adopt_repair(&mut self, map: Arc<FaceMap>, report: &RepairReport) -> bool {
+        assert!(
+            report.epoch == self.map.epoch() + 1
+                && report.remap_len() == self.map.face_count()
+                && map.epoch() == report.epoch,
+            "repair to epoch {} does not follow the tracker's map at epoch {}",
+            report.epoch,
+            self.map.epoch()
+        );
+        self.map = map;
         self.recent_sims.clear();
         let mut warm_exact = true;
         self.previous = self.previous.take().and_then(|f| {
@@ -263,7 +266,7 @@ impl Tracker {
             warm_exact = exact;
             Some(nf)
         });
-        (report, warm_exact)
+        warm_exact
     }
 
     /// Localizes one round from its sampling vector `v`, as built by
@@ -531,12 +534,14 @@ mod tests {
 
     #[test]
     fn shared_map_churn_is_copy_on_write() {
+        use crate::facemap::RepairMode;
         let (field, map, sampler) = setup(9, 6.0, 5);
         let shared = Arc::new(map);
         let mut a = Tracker::shared(Arc::clone(&shared), TrackerOptions::default());
         let mut b = Tracker::shared(Arc::clone(&shared), TrackerOptions::default());
         let epoch0 = shared.epoch();
-        a.apply_churn(3, true, RepairMode::Incremental);
+        let (repaired, report) = a.map().repaired(3, true, RepairMode::Incremental);
+        a.adopt_repair(Arc::new(repaired), &report);
         // Only `a` sees the repair; the shared original and `b` are
         // untouched.
         assert!(a.map().epoch() > epoch0);

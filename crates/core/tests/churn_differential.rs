@@ -172,6 +172,139 @@ fn sessions_recover_to_tracking_after_a_death_storm() {
     assert!(run.rounds.iter().all(|r| r.estimate.x.is_finite()));
 }
 
+/// A session that adopts maps repaired once and shared
+/// ([`TrackingSession::adopt_repair`]) must walk exactly the trajectory
+/// of one that repairs its own map per event
+/// ([`TrackingSession::apply_churn`]): same rounds, same run digest.
+#[test]
+fn adopting_a_shared_repair_matches_applying_churn() {
+    use fttt::replay::{digest_run, Digest};
+    use fttt::session::{SessionOptions, SessionRun, TrackingSession};
+    use fttt::tracker::{Tracker, TrackerOptions};
+    use rand::SeedableRng;
+    use std::sync::Arc;
+    use wsn_mobility::WaypointPath;
+    use wsn_network::{Deployment, GroupSampler, SensorField};
+    use wsn_signal::PathLossModel;
+
+    let field = Rect::square(100.0);
+    let sensor_field = SensorField::new(Deployment::grid(9, field), 150.0);
+    let model = PathLossModel::new(-40.0, 0.0, 4.0, 4.0);
+    let c = model.uncertainty_constant(1.0);
+    let base = Arc::new(FaceMap::build(
+        &sensor_field.deployment().positions(),
+        field,
+        c,
+        2.0,
+    ));
+    let sampler = GroupSampler::new(model, 5);
+    let trace = WaypointPath::new(vec![Point::new(20.0, 50.0), Point::new(80.0, 50.0)])
+        .walk_constant(3.0, 1.0);
+    let events = [
+        (5.0, 1usize, true),
+        (6.0, 3, true),
+        (7.0, 5, true),
+        (12.0, 1, false),
+        (13.0, 3, false),
+        (14.0, 5, false),
+    ];
+
+    for mode in [RepairMode::Incremental, RepairMode::Rebuild] {
+        // Each event repaired once, from the map the previous one left.
+        let mut chain = Vec::new();
+        let mut map = Arc::clone(&base);
+        for &(_, node, death) in &events {
+            let (next, report) = map.repaired(node, death, mode);
+            map = Arc::new(next);
+            chain.push((Arc::clone(&map), report));
+        }
+
+        let run = |shared: bool| -> (SessionRun, u64, TrackingSession) {
+            let tracker = if shared {
+                Tracker::shared(Arc::clone(&base), TrackerOptions::heuristic())
+            } else {
+                Tracker::new((*base).clone(), TrackerOptions::heuristic())
+            };
+            let mut session = TrackingSession::new(tracker, SessionOptions::new(5));
+            let mut next = 0usize;
+            let run = session.run_with(
+                &trace,
+                &mut rand_chacha::ChaCha8Rng::seed_from_u64(23),
+                |k, pos, _, r| {
+                    let sampler = GroupSampler {
+                        samples: k,
+                        ..sampler.clone()
+                    };
+                    sampler.sample(&sensor_field, pos, r)
+                },
+                |s, t| {
+                    while let Some(&(et, node, death)) = events.get(next) {
+                        if et > t {
+                            break;
+                        }
+                        if shared {
+                            let (map, report) = &chain[next];
+                            s.adopt_repair(t, Arc::clone(map), report);
+                        } else {
+                            s.apply_churn(t, node, death, mode);
+                        }
+                        next += 1;
+                    }
+                },
+            );
+            assert_eq!(next, events.len(), "every churn event must have applied");
+            let mut digest = Digest::new();
+            digest_run(&mut digest, &run);
+            (run, digest.value(), session)
+        };
+
+        let (applied, applied_digest, applied_session) = run(false);
+        let (adopted, adopted_digest, adopted_session) = run(true);
+        assert_eq!(applied.rounds, adopted.rounds, "{mode:?}: rounds differ");
+        assert_eq!(
+            applied_digest, adopted_digest,
+            "{mode:?}: run digests differ"
+        );
+        assert_eq!(
+            digest_face_map(applied_session.tracker().map()),
+            digest_face_map(adopted_session.tracker().map()),
+        );
+        // The adopting session holds the chain's last map, not a copy.
+        assert!(std::ptr::eq(
+            adopted_session.tracker().map(),
+            &*chain.last().unwrap().0
+        ));
+        assert!(
+            applied.rounds.iter().any(|r| r.reacquired),
+            "{mode:?}: the storm must exercise the remap ladder"
+        );
+    }
+}
+
+/// A repair handed to a session whose map it does not follow is refused.
+#[test]
+#[should_panic(expected = "does not follow")]
+fn adopting_a_repair_of_another_map_is_refused() {
+    use fttt::session::{SessionOptions, TrackingSession};
+    use fttt::tracker::{Tracker, TrackerOptions};
+    use std::sync::Arc;
+
+    let positions = [
+        Point::new(10.0, 10.0),
+        Point::new(40.0, 12.0),
+        Point::new(25.0, 40.0),
+        Point::new(44.0, 44.0),
+    ];
+    let map = FaceMap::build(&positions, Rect::square(FIELD_SIDE), C, CELL);
+    let (once, _) = map.repaired(0, true, RepairMode::Incremental);
+    let (twice, report) = once.repaired(1, true, RepairMode::Incremental);
+    let mut session = TrackingSession::new(
+        Tracker::new(map, TrackerOptions::heuristic()),
+        SessionOptions::new(5),
+    );
+    session.adopt_repair(0.0, Arc::new(twice), &report);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -730,8 +730,9 @@ fn route(
 
 /// Repairs the shared map for one churn event and installs the new epoch.
 /// Runs on the connection thread under the map write lock — churn is rare
-/// and the repair is incremental (PR 8), so stalling ingest briefly is the
-/// honest cost of a topology change.
+/// and the repair is incremental, so stalling ingest briefly is the
+/// honest cost of a topology change. The repair builds the new map from
+/// the old one without copying it first.
 fn apply_churn(state: &ServerState, node: usize, death: bool) -> Frame {
     let mut guard = state.map.write().expect("map lock poisoned");
     let map = guard.as_ref();
@@ -763,12 +764,7 @@ fn apply_churn(state: &ServerState, node: usize, death: bool) -> Frame {
             detail: "a face map needs at least two live sensors".into(),
         };
     }
-    let mut repaired = map.clone();
-    if death {
-        repaired.kill_node(node, RepairMode::Incremental);
-    } else {
-        repaired.revive_node(node, RepairMode::Incremental);
-    }
+    let (repaired, _) = map.repaired(node, death, RepairMode::Incremental);
     let epoch = repaired.epoch();
     let digest = digest_face_map(&repaired);
     *guard = Arc::new(repaired);
