@@ -26,15 +26,23 @@ use fttt::session::{SessionOptions, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
 use fttt::{FaceMap, PaperParams, RepairMode};
 use std::collections::HashMap;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wsn_network::replay::digest_hex;
-use wsn_telemetry::{ArgValue, Registry, Snapshot, DURATION_US_BUCKETS};
+use wsn_telemetry::{
+    ArgValue, Counter, Histogram, Registry, Snapshot, COUNT_BUCKETS, DURATION_US_BUCKETS,
+};
+
+/// Bytes a connection's read half buffers, and the most its writer
+/// coalesces into one `write_all`: a pipelined window of pushes drains in
+/// a few reads, and a burst of replies leaves in a few segments.
+const CONN_IO_BYTES: usize = 64 * 1024;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -194,10 +202,13 @@ pub struct SessionStatus {
 
 /// Work routed to a shard worker. Replies travel back through the
 /// connection's outbound byte queue; `trace` is the request's wire
-/// correlation id (0 = untraced v1 client) and is echoed in the reply.
+/// correlation id (0 = untraced v1 client) and is echoed in the reply;
+/// `enqueued` is when the reader routed the job, for the shard's queue
+/// wait.
 pub(crate) enum Job {
     Open {
         reply: Sender<Vec<u8>>,
+        enqueued: Instant,
         conn: u64,
         client_tag: u64,
         session: u64,
@@ -206,12 +217,14 @@ pub(crate) enum Job {
     },
     Push {
         reply: Sender<Vec<u8>>,
+        enqueued: Instant,
         session: u64,
         rounds: Vec<ReadingRound>,
         trace: u64,
     },
     Close {
         reply: Sender<Vec<u8>>,
+        enqueued: Instant,
         session: u64,
         trace: u64,
     },
@@ -230,10 +243,13 @@ pub(crate) enum Job {
 /// and aged by the watchdog monitor thread.
 #[derive(Debug, Default)]
 pub(crate) struct ShardHealth {
-    /// Jobs currently sitting in (or just drained from) the shard queue.
+    /// Jobs sent to the shard queue that the worker has not yet started;
+    /// counted up before the send and down once the worker holds the
+    /// shard's lock.
     pub(crate) queued: AtomicU64,
-    /// Microseconds-since-server-start when the worker began its current
-    /// job; `0` = idle. The watchdog ages this to detect stalls.
+    /// Microseconds-since-server-start when the shard began its current
+    /// job, on its worker or inline on a reader; `0` = idle. The watchdog
+    /// ages this to detect stalls.
     pub(crate) busy_since_us: AtomicU64,
     /// Jobs fully processed.
     pub(crate) jobs_done: AtomicU64,
@@ -242,10 +258,9 @@ pub(crate) struct ShardHealth {
     pub(crate) stalled: AtomicBool,
 }
 
-/// Clears the busy heartbeat and counts the job on every exit path of a
-/// worker-loop iteration — the match arms `continue` liberally on error
-/// paths, and a heartbeat left set while the worker idles on an empty
-/// queue would read as a stall.
+/// Clears the busy heartbeat and counts the job on every exit path of
+/// [`serve`] — the match arms return early on error paths, and a
+/// heartbeat left set while the shard idles would read as a stall.
 struct BusyGuard<'a>(&'a ShardHealth);
 
 impl Drop for BusyGuard<'_> {
@@ -276,6 +291,8 @@ pub(crate) struct ServerState {
     /// One registry per shard worker, merged deterministically by
     /// [`Server::metrics_snapshot`].
     worker_registries: Vec<Arc<Registry>>,
+    /// Each shard's sessions, served under its lock.
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl ServerState {
@@ -363,6 +380,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(false), Condvar::new()),
             conn_registry: Registry::new(),
+            shards: worker_registries
+                .iter()
+                .map(|r| Mutex::new(Shard::new(r)))
+                .collect(),
             worker_registries,
             started: Instant::now(),
             shard_health,
@@ -494,13 +515,14 @@ pub(crate) fn query_session_via(
 ) -> Option<SessionView> {
     let shard = (session % txs.len() as u64) as usize;
     let (tx, rx) = mpsc::channel();
-    match txs[shard].try_send(Job::Query { reply: tx, session }) {
-        Ok(()) => {
-            state.shard_health[shard]
-                .queued
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => return None,
+    let queued = &state.shard_health[shard].queued;
+    queued.fetch_add(1, Ordering::SeqCst);
+    if txs[shard]
+        .try_send(Job::Query { reply: tx, session })
+        .is_err()
+    {
+        queued.fetch_sub(1, Ordering::SeqCst);
+        return None;
     }
     rx.recv_timeout(Duration::from_secs(2)).ok()
 }
@@ -512,6 +534,8 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, txs: Vec<SyncSend
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Nagle only delays replies; a connection without it still works.
+        let _ = tune_accepted(&stream);
         next_conn += 1;
         let conn_id = next_conn;
         let st = Arc::clone(&state);
@@ -530,25 +554,35 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, txs: Vec<SyncSend
     }
 }
 
-fn conn_loop(
-    mut stream: TcpStream,
-    conn_id: u64,
-    state: Arc<ServerState>,
-    txs: Vec<SyncSender<Job>>,
-) {
+/// Socket options for an accepted connection. Replies are small frames
+/// written as soon as their round is stepped; with Nagle's algorithm on,
+/// the kernel holds each one until the client's next request carries the
+/// ACK for the one before.
+fn tune_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+fn conn_loop(stream: TcpStream, conn_id: u64, state: Arc<ServerState>, txs: Vec<SyncSender<Job>>) {
     let (out_tx, out_rx) = mpsc::channel::<Vec<u8>>();
     let writer = {
         let Ok(write_half) = stream.try_clone() else {
             return;
         };
+        let write_us = state
+            .conn_registry
+            .histogram("fttt.server.stage.write_us", DURATION_US_BUCKETS);
+        let write_frames = state
+            .conn_registry
+            .histogram("fttt.server.write_frames", COUNT_BUCKETS);
         std::thread::Builder::new()
             .name(format!("wsn-conn-{conn_id}-w"))
-            .spawn(move || writer_loop(write_half, out_rx))
+            .spawn(move || writer_loop(write_half, out_rx, &write_us, &write_frames))
     };
     let Ok(writer) = writer else { return };
 
     let max_frame = state.config.max_frame;
     let shards = txs.len() as u64;
+    let mut stream = BufReader::with_capacity(CONN_IO_BYTES, stream);
     loop {
         let (frame, trace) = match read_frame_traced(&mut stream, max_frame) {
             Ok(f) => f,
@@ -577,6 +611,9 @@ fn conn_loop(
             }
         };
         state.conn_registry.counter("fttt.server.frames_in").inc();
+        // No further request is buffered: a job for an idle shard may be
+        // served right here.
+        let quiet = stream.buffer().is_empty();
         match frame {
             Frame::Open {
                 client_tag,
@@ -593,12 +630,14 @@ fn conn_loop(
                     trace,
                     Job::Open {
                         reply: out_tx.clone(),
+                        enqueued: Instant::now(),
                         conn: conn_id,
                         client_tag,
                         session,
                         extended,
                         trace,
                     },
+                    quiet,
                 );
             }
             Frame::Push { session, rounds } => {
@@ -612,10 +651,12 @@ fn conn_loop(
                     trace,
                     Job::Push {
                         reply: out_tx.clone(),
+                        enqueued: Instant::now(),
                         session,
                         rounds,
                         trace,
                     },
+                    quiet,
                 );
             }
             Frame::Close { session } => {
@@ -629,9 +670,11 @@ fn conn_loop(
                     trace,
                     Job::Close {
                         reply: out_tx.clone(),
+                        enqueued: Instant::now(),
                         session,
                         trace,
                     },
+                    quiet,
                 );
             }
             Frame::Churn { node, death } => {
@@ -661,8 +704,11 @@ fn conn_loop(
 
     // Sweep this connection's sessions from every shard. Blocking send:
     // cleanup must never be shed.
-    for tx in &txs {
-        let _ = tx.send(Job::ConnClosed { conn: conn_id });
+    for (health, tx) in state.shard_health.iter().zip(&txs) {
+        health.queued.fetch_add(1, Ordering::SeqCst);
+        if tx.send(Job::ConnClosed { conn: conn_id }).is_err() {
+            health.queued.fetch_sub(1, Ordering::SeqCst);
+        }
     }
     state
         .conn_registry
@@ -672,9 +718,11 @@ fn conn_loop(
     let _ = writer.join();
 }
 
-/// Routes `job` to its shard, shedding with [`ErrorCode::Overloaded`]
-/// when the shard's bounded queue is full. `trace` is echoed in shed /
-/// drain errors so a traced client can attribute them.
+/// Serves `job` inline when [`serve_inline`] may (`quiet`: the reader has
+/// no further request buffered), else routes it to its shard, shedding
+/// with [`ErrorCode::Overloaded`] when the shard's bounded queue is full.
+/// `trace` is echoed in shed / drain errors so a traced client can
+/// attribute them.
 #[allow(clippy::too_many_arguments)]
 fn route(
     state: &ServerState,
@@ -684,13 +732,21 @@ fn route(
     context: u64,
     trace: u64,
     job: Job,
+    quiet: bool,
 ) {
-    match tx.try_send(job) {
-        Ok(()) => {
-            state.shard_health[shard]
-                .queued
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    let Err(job) = serve_inline(state, shard, job, quiet) else {
+        return;
+    };
+    // Counted before the send, so the worker's count-down never comes
+    // first and the gauge reads 0 only when nothing is waiting.
+    let queued = &state.shard_health[shard].queued;
+    queued.fetch_add(1, Ordering::SeqCst);
+    let sent = tx.try_send(job);
+    if sent.is_err() {
+        queued.fetch_sub(1, Ordering::SeqCst);
+    }
+    match sent {
+        Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             state.conn_registry.counter("fttt.server.shed").inc();
             if wsn_telemetry::journal_enabled() {
@@ -780,232 +836,305 @@ fn apply_churn(state: &ServerState, node: usize, death: bool) -> Frame {
     }
 }
 
-fn worker_loop(shard: usize, state: Arc<ServerState>, rx: Receiver<Job>) {
-    let registry = Arc::clone(&state.worker_registries[shard]);
-    let opened = registry.counter("fttt.server.sessions_opened");
-    let closed = registry.counter("fttt.server.sessions_closed");
-    let invalidated = registry.counter("fttt.server.sessions_invalidated");
-    let dropped = registry.counter("fttt.server.sessions_dropped");
-    let rounds_total = registry.counter("fttt.server.rounds");
-    let batches = registry.counter("fttt.server.push_batches");
-    let round_us = registry.histogram("fttt.server.round_us", DURATION_US_BUCKETS);
-    let health = &state.shard_health[shard];
-    let mut sessions: HashMap<u64, Entry> = HashMap::new();
+/// A shard's sessions and the instruments its jobs update, behind the
+/// shard's lock. The shard worker serves its queue under the lock; a
+/// connection reader with nothing else to do serves a job itself
+/// ([`serve_inline`]).
+pub(crate) struct Shard {
+    sessions: HashMap<u64, Entry>,
+    opened: Arc<Counter>,
+    closed: Arc<Counter>,
+    invalidated: Arc<Counter>,
+    dropped: Arc<Counter>,
+    rounds_total: Arc<Counter>,
+    batches: Arc<Counter>,
+    round_us: Arc<Histogram>,
+    queue_wait_us: Arc<Histogram>,
+}
 
-    while let Ok(job) = rx.recv() {
-        // Heartbeat: mark the worker busy on this job so the watchdog can
-        // age a stuck one; `now_us` is clamped to ≥ 1 so 0 stays "idle".
-        let _ = health
-            .queued
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-        health
-            .busy_since_us
-            .store(state.now_us().max(1), Ordering::Relaxed);
-        let _busy = BusyGuard(health);
-        if let Some(stall) = state.config.ingest_stall {
-            std::thread::sleep(stall);
+impl Shard {
+    fn new(registry: &Registry) -> Shard {
+        Shard {
+            sessions: HashMap::new(),
+            opened: registry.counter("fttt.server.sessions_opened"),
+            closed: registry.counter("fttt.server.sessions_closed"),
+            invalidated: registry.counter("fttt.server.sessions_invalidated"),
+            dropped: registry.counter("fttt.server.sessions_dropped"),
+            rounds_total: registry.counter("fttt.server.rounds"),
+            batches: registry.counter("fttt.server.push_batches"),
+            round_us: registry.histogram("fttt.server.round_us", DURATION_US_BUCKETS),
+            queue_wait_us: registry
+                .histogram("fttt.server.stage.queue_wait_us", DURATION_US_BUCKETS),
         }
-        match job {
-            Job::Open {
-                reply,
-                conn,
-                client_tag,
-                session,
-                extended,
-                trace,
-            } => {
-                let before = state.session_count.fetch_add(1, Ordering::SeqCst);
-                if before as usize >= state.config.max_sessions {
-                    state.session_count.fetch_sub(1, Ordering::SeqCst);
-                    let _ = reply.send(
-                        Frame::Error {
-                            code: ErrorCode::SessionLimit,
-                            context: client_tag,
-                            detail: format!("at capacity ({} sessions)", state.config.max_sessions),
-                        }
-                        .encode_traced(trace),
-                    );
-                    continue;
-                }
-                let map = Arc::clone(&state.map.read().expect("map lock poisoned"));
-                let epoch = map.epoch();
-                let tracker = Tracker::shared(map, state.config.tracker_options(extended));
-                let entry = Entry {
-                    session: TrackingSession::new(tracker, state.config.session_options())
-                        .with_session_id(session),
-                    conn,
-                    epoch,
-                    digest: Digest::new(),
-                    rounds: 0,
-                    last: None,
-                };
-                sessions.insert(session, entry);
-                opened.inc();
+    }
+}
+
+fn worker_loop(shard: usize, state: Arc<ServerState>, rx: Receiver<Job>) {
+    while let Ok(job) = rx.recv() {
+        if matches!(job, Job::Stop) {
+            break;
+        }
+        let mut core = state.shards[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Counted down under the lock, so a reader holding the lock that
+        // reads 0 knows no job of this shard is waiting or being served.
+        let _ = state.shard_health[shard].queued.fetch_update(
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+            |v| Some(v.saturating_sub(1)),
+        );
+        serve(&state, shard, &mut core, job);
+    }
+}
+
+/// Serves `job` on the calling connection reader instead of its shard
+/// worker, which saves the worker's wake-up, when nothing else waits: the
+/// reader has no further request buffered (`quiet`), no shard has a job
+/// waiting in its queue, and this shard's lock is free. Fault injection
+/// (`ingest_stall`) stalls the worker, so it keeps every job there; so
+/// does a server shutting down. Hands `job` back when it cannot serve it.
+fn serve_inline(state: &ServerState, shard: usize, job: Job, quiet: bool) -> Result<(), Job> {
+    let idle = |h: &ShardHealth| h.queued.load(Ordering::SeqCst) == 0;
+    if !quiet
+        || state.config.ingest_stall.is_some()
+        || state.shutdown.load(Ordering::SeqCst)
+        || !state.shard_health.iter().all(idle)
+    {
+        return Err(job);
+    }
+    let Ok(mut core) = state.shards[shard].try_lock() else {
+        return Err(job);
+    };
+    // Re-checked under the lock: a job routed meanwhile goes first.
+    if !idle(&state.shard_health[shard]) {
+        return Err(job);
+    }
+    serve(state, shard, &mut core, job);
+    Ok(())
+}
+
+/// Runs one job against its shard's sessions, on the shard worker or
+/// inline on a connection reader.
+fn serve(state: &ServerState, shard: usize, core: &mut Shard, job: Job) {
+    if let Job::Open { enqueued, .. } | Job::Push { enqueued, .. } | Job::Close { enqueued, .. } =
+        &job
+    {
+        core.queue_wait_us
+            .observe(enqueued.elapsed().as_secs_f64() * 1e6);
+    }
+    let health = &state.shard_health[shard];
+    // Heartbeat: mark the shard busy on this job so the watchdog can age
+    // a stuck one; `now_us` is clamped to ≥ 1 so 0 stays "idle".
+    health
+        .busy_since_us
+        .store(state.now_us().max(1), Ordering::Relaxed);
+    let _busy = BusyGuard(health);
+    if let Some(stall) = state.config.ingest_stall {
+        std::thread::sleep(stall);
+    }
+    match job {
+        Job::Open {
+            reply,
+            enqueued: _,
+            conn,
+            client_tag,
+            session,
+            extended,
+            trace,
+        } => {
+            let before = state.session_count.fetch_add(1, Ordering::SeqCst);
+            if before as usize >= state.config.max_sessions {
+                state.session_count.fetch_sub(1, Ordering::SeqCst);
                 let _ = reply.send(
-                    Frame::OpenAck {
-                        client_tag,
-                        session,
-                        epoch,
-                        map_digest: state.map_digest.load(Ordering::SeqCst),
+                    Frame::Error {
+                        code: ErrorCode::SessionLimit,
+                        context: client_tag,
+                        detail: format!("at capacity ({} sessions)", state.config.max_sessions),
                     }
                     .encode_traced(trace),
                 );
+                return;
             }
-            Job::Push {
-                reply,
-                session,
-                rounds,
-                trace,
-            } => {
-                let Some(entry) = sessions.get_mut(&session) else {
-                    let _ = reply.send(unknown_session(session).encode_traced(trace));
-                    continue;
-                };
-                let current = state.epoch.load(Ordering::SeqCst);
-                if entry.epoch != current {
-                    // The map churned since this session opened: free the
-                    // slot and tell the client to re-open.
-                    let stale = entry.epoch;
-                    sessions.remove(&session);
-                    state.session_count.fetch_sub(1, Ordering::SeqCst);
-                    invalidated.inc();
-                    if wsn_telemetry::journal_enabled() {
-                        wsn_telemetry::trace_instant(
-                            "fttt.server.stale_epoch",
-                            vec![
-                                ("trace", ArgValue::Str(digest_hex(trace))),
-                                ("session", ArgValue::U64(session)),
-                                ("shard", ArgValue::U64(shard as u64)),
-                                ("opened_epoch", ArgValue::U64(stale)),
-                                ("current_epoch", ArgValue::U64(current)),
-                            ],
-                        );
-                    }
-                    let _ = reply.send(
-                        Frame::Error {
-                            code: ErrorCode::StaleEpoch,
-                            context: session,
-                            detail: format!("map epoch moved {stale} → {current}; re-open"),
-                        }
-                        .encode_traced(trace),
-                    );
-                    continue;
+            let map = Arc::clone(&state.map.read().expect("map lock poisoned"));
+            let epoch = map.epoch();
+            let tracker = Tracker::shared(map, state.config.tracker_options(extended));
+            let entry = Entry {
+                session: TrackingSession::new(tracker, state.config.session_options())
+                    .with_session_id(session),
+                conn,
+                epoch,
+                digest: Digest::new(),
+                rounds: 0,
+                last: None,
+            };
+            core.sessions.insert(session, entry);
+            core.opened.inc();
+            let _ = reply.send(
+                Frame::OpenAck {
+                    client_tag,
+                    session,
+                    epoch,
+                    map_digest: state.map_digest.load(Ordering::SeqCst),
                 }
-                // A reading sized for a different deployment would panic
-                // the matcher — and a panicking worker takes the whole
-                // shard (and every session on it) down with it. Reject
-                // the batch whole before touching the session, so the
-                // digest stays intact and the shard stays alive.
-                let expected = state.config.params.nodes;
-                if let Some(bad) = rounds.iter().find(|r| r.group.node_count() != expected) {
-                    let _ = reply.send(
-                        Frame::Error {
-                            code: ErrorCode::Malformed,
-                            context: session,
-                            detail: format!(
-                                "reading has {} nodes; this server's map has {expected}",
-                                bad.group.node_count()
-                            ),
-                        }
-                        .encode_traced(trace),
-                    );
-                    continue;
-                }
-                let batch_started = Instant::now();
-                let mut results = Vec::with_capacity(rounds.len());
-                for r in &rounds {
-                    let started = Instant::now();
-                    let round = entry.session.step(r.t, &r.group);
-                    round_us.observe(started.elapsed().as_secs_f64() * 1e6);
-                    digest_round(&mut entry.digest, &round);
-                    entry.rounds += 1;
-                    results.push(RoundResult::from_round(&round));
-                }
-                entry.last = results.last().cloned();
-                rounds_total.add(results.len() as u64);
-                batches.inc();
-                // The server half of cross-wire correlation: one event per
-                // push batch keyed by the request's trace id (hex, the
-                // full-range-u64 JSON convention), so `fttt-sim explain`
-                // can join a client-side trace to the shard that served
-                // it and the time it spent actually stepping rounds.
+                .encode_traced(trace),
+            );
+        }
+        Job::Push {
+            reply,
+            enqueued: _,
+            session,
+            rounds,
+            trace,
+        } => {
+            let Some(entry) = core.sessions.get_mut(&session) else {
+                let _ = reply.send(unknown_session(session).encode_traced(trace));
+                return;
+            };
+            let current = state.epoch.load(Ordering::SeqCst);
+            if entry.epoch != current {
+                // The map churned since this session opened: free the
+                // slot and tell the client to re-open.
+                let stale = entry.epoch;
+                core.sessions.remove(&session);
+                state.session_count.fetch_sub(1, Ordering::SeqCst);
+                core.invalidated.inc();
                 if wsn_telemetry::journal_enabled() {
                     wsn_telemetry::trace_instant(
-                        "fttt.server.push",
+                        "fttt.server.stale_epoch",
                         vec![
                             ("trace", ArgValue::Str(digest_hex(trace))),
                             ("session", ArgValue::U64(session)),
                             ("shard", ArgValue::U64(shard as u64)),
-                            ("rounds", ArgValue::U64(results.len() as u64)),
-                            (
-                                "work_us",
-                                ArgValue::F64(batch_started.elapsed().as_secs_f64() * 1e6),
-                            ),
+                            ("opened_epoch", ArgValue::U64(stale)),
+                            ("current_epoch", ArgValue::U64(current)),
                         ],
                     );
                 }
                 let _ = reply.send(
-                    Frame::Rounds {
-                        session,
-                        results,
-                        digest: entry.digest.value(),
+                    Frame::Error {
+                        code: ErrorCode::StaleEpoch,
+                        context: session,
+                        detail: format!("map epoch moved {stale} → {current}; re-open"),
                     }
                     .encode_traced(trace),
                 );
+                return;
             }
-            Job::Close {
-                reply,
-                session,
-                trace,
-            } => {
-                let Some(entry) = sessions.remove(&session) else {
-                    let _ = reply.send(unknown_session(session).encode_traced(trace));
-                    continue;
-                };
-                state.session_count.fetch_sub(1, Ordering::SeqCst);
-                closed.inc();
+            // A reading sized for a different deployment would panic
+            // the matcher — and a panicking worker takes the whole
+            // shard (and every session on it) down with it. Reject
+            // the batch whole before touching the session, so the
+            // digest stays intact and the shard stays alive.
+            let expected = state.config.params.nodes;
+            if let Some(bad) = rounds.iter().find(|r| r.group.node_count() != expected) {
                 let _ = reply.send(
-                    Frame::CloseAck {
-                        session,
-                        rounds: entry.rounds,
-                        digest: entry.digest.value(),
+                    Frame::Error {
+                        code: ErrorCode::Malformed,
+                        context: session,
+                        detail: format!(
+                            "reading has {} nodes; this server's map has {expected}",
+                            bad.group.node_count()
+                        ),
                     }
                     .encode_traced(trace),
                 );
+                return;
             }
-            Job::Query { reply, session } => {
-                let current = state.epoch.load(Ordering::SeqCst);
-                let view = match sessions.get(&session) {
-                    Some(entry) if entry.epoch == current => SessionView::Active(SessionStatus {
-                        session,
-                        epoch: entry.epoch,
-                        rounds: entry.rounds,
-                        digest: entry.digest.value(),
-                        last: entry.last.clone(),
-                    }),
-                    Some(entry) => SessionView::Retired {
-                        opened_epoch: entry.epoch,
-                        current_epoch: current,
-                    },
-                    None => SessionView::Unknown {
-                        current_epoch: current,
-                    },
-                };
-                let _ = reply.send(view);
+            let batch_started = Instant::now();
+            let mut results = Vec::with_capacity(rounds.len());
+            for r in &rounds {
+                let started = Instant::now();
+                let round = entry.session.step(r.t, &r.group);
+                core.round_us.observe(started.elapsed().as_secs_f64() * 1e6);
+                digest_round(&mut entry.digest, &round);
+                entry.rounds += 1;
+                results.push(RoundResult::from_round(&round));
             }
-            Job::ConnClosed { conn } => {
-                let before = sessions.len();
-                sessions.retain(|_, e| e.conn != conn);
-                let swept = (before - sessions.len()) as u64;
-                if swept > 0 {
-                    state.session_count.fetch_sub(swept, Ordering::SeqCst);
-                    dropped.add(swept);
+            entry.last = results.last().cloned();
+            core.rounds_total.add(results.len() as u64);
+            core.batches.inc();
+            // The server half of cross-wire correlation: one event per
+            // push batch keyed by the request's trace id (hex, the
+            // full-range-u64 JSON convention), so `fttt-sim explain`
+            // can join a client-side trace to the shard that served
+            // it and the time it spent actually stepping rounds.
+            if wsn_telemetry::journal_enabled() {
+                wsn_telemetry::trace_instant(
+                    "fttt.server.push",
+                    vec![
+                        ("trace", ArgValue::Str(digest_hex(trace))),
+                        ("session", ArgValue::U64(session)),
+                        ("shard", ArgValue::U64(shard as u64)),
+                        ("rounds", ArgValue::U64(results.len() as u64)),
+                        (
+                            "work_us",
+                            ArgValue::F64(batch_started.elapsed().as_secs_f64() * 1e6),
+                        ),
+                    ],
+                );
+            }
+            let _ = reply.send(
+                Frame::Rounds {
+                    session,
+                    results,
+                    digest: entry.digest.value(),
                 }
-            }
-            Job::Stop => break,
+                .encode_traced(trace),
+            );
         }
+        Job::Close {
+            reply,
+            enqueued: _,
+            session,
+            trace,
+        } => {
+            let Some(entry) = core.sessions.remove(&session) else {
+                let _ = reply.send(unknown_session(session).encode_traced(trace));
+                return;
+            };
+            state.session_count.fetch_sub(1, Ordering::SeqCst);
+            core.closed.inc();
+            let _ = reply.send(
+                Frame::CloseAck {
+                    session,
+                    rounds: entry.rounds,
+                    digest: entry.digest.value(),
+                }
+                .encode_traced(trace),
+            );
+        }
+        Job::Query { reply, session } => {
+            let current = state.epoch.load(Ordering::SeqCst);
+            let view = match core.sessions.get(&session) {
+                Some(entry) if entry.epoch == current => SessionView::Active(SessionStatus {
+                    session,
+                    epoch: entry.epoch,
+                    rounds: entry.rounds,
+                    digest: entry.digest.value(),
+                    last: entry.last.clone(),
+                }),
+                Some(entry) => SessionView::Retired {
+                    opened_epoch: entry.epoch,
+                    current_epoch: current,
+                },
+                None => SessionView::Unknown {
+                    current_epoch: current,
+                },
+            };
+            let _ = reply.send(view);
+        }
+        Job::ConnClosed { conn } => {
+            let before = core.sessions.len();
+            core.sessions.retain(|_, e| e.conn != conn);
+            let swept = (before - core.sessions.len()) as u64;
+            if swept > 0 {
+                state.session_count.fetch_sub(swept, Ordering::SeqCst);
+                core.dropped.add(swept);
+            }
+        }
+        // `worker_loop` stops before it takes the lock.
+        Job::Stop => {}
     }
 }
 
@@ -1128,12 +1257,46 @@ fn unknown_session(session: u64) -> Frame {
     }
 }
 
-fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
-    use std::io::Write;
-    while let Ok(buf) = rx.recv() {
+/// Sends a connection's reply frames in channel order. Each wake-up takes
+/// every frame already queued, up to [`CONN_IO_BYTES`], and writes them
+/// with one `write_all`, so a burst of replies does not become one
+/// segment per frame on a `TCP_NODELAY` socket.
+fn writer_loop(
+    mut stream: TcpStream,
+    rx: mpsc::Receiver<Vec<u8>>,
+    write_us: &Histogram,
+    write_frames: &Histogram,
+) {
+    let mut buf = Vec::with_capacity(CONN_IO_BYTES);
+    while let Ok(frame) = rx.recv() {
+        buf.clear();
+        buf.extend_from_slice(&frame);
+        let mut frames = 1u64;
+        while buf.len() < CONN_IO_BYTES {
+            let Ok(frame) = rx.try_recv() else { break };
+            buf.extend_from_slice(&frame);
+            frames += 1;
+        }
+        let started = Instant::now();
         if stream.write_all(&buf).is_err() {
             break;
         }
+        write_us.observe(started.elapsed().as_secs_f64() * 1e6);
+        write_frames.observe(frames as f64);
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tune_accepted_disables_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        tune_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+    }
 }

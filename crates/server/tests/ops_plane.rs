@@ -265,3 +265,51 @@ fn stalled_shard_degrades_healthz_and_dumps_flight_data() {
     drop(ops);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The per-stage histograms: every routed job observes its shard queue
+/// wait at dequeue, and every coalesced write its duration and frame
+/// count. After an open and N sequential pushes, each answered before the
+/// next is sent, the queue wait has at least N + 1 observations, and all
+/// three series are on `/metrics`.
+#[test]
+fn metrics_expose_queue_wait_and_write_stages() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::fast()).unwrap();
+    let ops = server.serve_ops("127.0.0.1:0").unwrap();
+    let addr = ops.local_addr().to_string();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let info = conn.open_session(11, false).unwrap();
+    let pushes = 20u64;
+    for i in 0..pushes {
+        conn.push_rounds(info.session, vec![one_round(i as f64)])
+            .unwrap();
+    }
+
+    let (status, body) = http_get(&addr, "/metrics");
+    assert_eq!(status, 200, "{body}");
+    let count_of = |family: &str| -> u64 {
+        let prefix = format!("{family}_count ");
+        body.lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no {family}_count in the scrape:\n{body}"))
+            .trim()
+            .parse()
+            .unwrap()
+    };
+    let queue_wait = count_of("fttt_server_stage_queue_wait_us");
+    assert!(
+        queue_wait > pushes,
+        "queue wait observed {queue_wait} jobs, want at least {} (open + pushes)",
+        pushes + 1
+    );
+    count_of("fttt_server_stage_write_us");
+    count_of("fttt_server_write_frames");
+    // Request/response traffic queues one reply at a time, so each reply
+    // is its own write; only the last may not be observed yet when its
+    // bytes reach the client.
+    let writes = server.metrics_snapshot().histograms["fttt.server.stage.write_us"].count;
+    assert!(
+        writes >= pushes,
+        "{writes} writes timed for {} replies",
+        pushes + 1
+    );
+}

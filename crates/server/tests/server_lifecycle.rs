@@ -1,17 +1,35 @@
 //! Live-server tests over loopback TCP: backpressure sheds, epoch
-//! invalidation, protocol abuse, and the no-leaked-slots contract.
+//! invalidation, protocol abuse, the no-leaked-slots contract, and the
+//! per-connection I/O path (frames split and joined across reads, and
+//! reply order across coalesced writes).
 
+use fttt::replay::{digest_round, Digest};
+use fttt::session::TrackingSession;
+use fttt::tracker::Tracker;
+use std::collections::HashMap;
 use std::io::Write;
+use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsn_network::GroupSampling;
-use wsn_server::{ClientError, Connection, ErrorCode, Frame, ReadingRound, Server, ServerConfig};
+use wsn_server::{
+    read_frame, ClientError, Connection, ErrorCode, Frame, ReadingRound, RecvError, Server,
+    ServerConfig, DEFAULT_MAX_FRAME, WIRE_VERSION,
+};
 use wsn_signal::Rss;
 
 fn reading_round(t: f64, nodes: usize) -> ReadingRound {
+    shifted_round(t, nodes, 0)
+}
+
+/// Like [`reading_round`], with the loudest node moved by `shift` so that
+/// different sessions track different targets.
+fn shifted_round(t: f64, nodes: usize, shift: usize) -> ReadingRound {
     let mut group = GroupSampling::empty(nodes, 3);
     for instant in 0..3 {
         for node in 0..nodes {
-            let dbm = -40.0 - 2.0 * node as f64 - 0.5 * instant as f64;
+            let rank = (node + shift) % nodes;
+            let dbm = -40.0 - 2.0 * rank as f64 - 0.5 * instant as f64;
             group.set(instant, node, Some(Rss::new(dbm)));
         }
     }
@@ -303,4 +321,316 @@ fn wrong_dimension_reading_is_rejected_not_fatal() {
     assert_eq!(results[0].round, 0);
     let (rounds, _) = conn.close_session(info.session).unwrap();
     assert_eq!(rounds, 1);
+}
+
+/// The running digest after each of `rounds`, from an in-process session
+/// configured as the server configures its own.
+fn shadow_digests(config: &ServerConfig, rounds: &[ReadingRound]) -> Vec<u64> {
+    let field = config.params.grid_field();
+    let map = Arc::new(config.params.face_map(&field));
+    let tracker = Tracker::shared(map, config.tracker_options(false));
+    let mut session = TrackingSession::new(tracker, config.session_options());
+    let mut digest = Digest::new();
+    rounds
+        .iter()
+        .map(|r| {
+            digest_round(&mut digest, &session.step(r.t, &r.group));
+            digest.value()
+        })
+        .collect()
+}
+
+/// A bare socket to `server`, for writing bytes the typed client would
+/// never split or join. The timeout turns a lost reply into a failure
+/// rather than a hang.
+fn raw_stream(server: &Server) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
+fn recv(stream: &mut TcpStream) -> Frame {
+    read_frame(stream, DEFAULT_MAX_FRAME).unwrap()
+}
+
+fn open_raw(stream: &mut TcpStream, client_tag: u64) -> u64 {
+    stream
+        .write_all(
+            &Frame::Open {
+                client_tag,
+                extended: false,
+            }
+            .encode(),
+        )
+        .unwrap();
+    match recv(stream) {
+        Frame::OpenAck {
+            client_tag: tag,
+            session,
+            ..
+        } if tag == client_tag => session,
+        other => panic!("expected OpenAck for tag {client_tag}, got {other:?}"),
+    }
+}
+
+fn push_bytes(session: u64, round: &ReadingRound) -> Vec<u8> {
+    Frame::Push {
+        session,
+        rounds: vec![round.clone()],
+    }
+    .encode()
+}
+
+/// A well-framed payload with a valid version and an unknown frame kind.
+fn unknown_kind_frame() -> Vec<u8> {
+    let mut bytes = 2u32.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[WIRE_VERSION, 0xEE]);
+    bytes
+}
+
+/// The read half may hold many frames from one read: 64 pushes for 8
+/// sessions, sent as one `write_all`, are each answered once, in each
+/// session's order, with the shadow engine's running digest.
+#[test]
+fn pushes_joined_in_one_write_are_all_answered() {
+    let config = ServerConfig::fast();
+    let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
+    let mut stream = raw_stream(&server);
+    let sessions: Vec<u64> = (0..8).map(|tag| open_raw(&mut stream, tag)).collect();
+    let rounds: Vec<Vec<ReadingRound>> = (0..8)
+        .map(|j| (0..8).map(|k| shifted_round(k as f64, 8, j + k)).collect())
+        .collect();
+    let mut burst = Vec::new();
+    for k in 0..8 {
+        for (&session, own) in sessions.iter().zip(&rounds) {
+            burst.extend(push_bytes(session, &own[k]));
+        }
+    }
+    stream.write_all(&burst).unwrap();
+
+    let mut digests: Vec<Vec<u64>> = vec![Vec::new(); 8];
+    for _ in 0..64 {
+        match recv(&mut stream) {
+            Frame::Rounds {
+                session,
+                results,
+                digest,
+            } => {
+                let j = sessions.iter().position(|&s| s == session).unwrap();
+                assert_eq!(results.len(), 1);
+                assert_eq!(results[0].round, digests[j].len() as u64);
+                digests[j].push(digest);
+            }
+            other => panic!("expected Rounds, got {other:?}"),
+        }
+    }
+    for (j, got) in digests.iter().enumerate() {
+        assert_eq!(*got, shadow_digests(&config, &rounds[j]), "session {j}");
+    }
+}
+
+/// The read half may need many reads for one frame: a push sent a byte at
+/// a time, each byte its own segment, decodes and is answered.
+#[test]
+fn a_frame_split_into_single_bytes_decodes() {
+    let config = ServerConfig::fast();
+    let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
+    let mut stream = raw_stream(&server);
+    let session = open_raw(&mut stream, 1);
+    let round = shifted_round(0.0, 8, 3);
+    for byte in push_bytes(session, &round) {
+        stream.write_all(&[byte]).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    match recv(&mut stream) {
+        Frame::Rounds {
+            session: s,
+            results,
+            digest,
+        } => {
+            assert_eq!(s, session);
+            assert_eq!(results.len(), 1);
+            assert_eq!(digest, shadow_digests(&config, &[round])[0]);
+        }
+        other => panic!("expected Rounds, got {other:?}"),
+    }
+}
+
+/// Valid frames followed by a malformed one in the same segment: the
+/// valid ones are served, then `Error{Malformed}`, then the server hangs
+/// up — and keeps serving other connections.
+#[test]
+fn valid_frames_before_a_malformed_one_are_answered_first() {
+    let config = ServerConfig::fast();
+    let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
+
+    // Churn is answered on the reader thread itself, so its replies are
+    // queued before the reader decodes the malformed frame: the order is
+    // exact.
+    let mut stream = raw_stream(&server);
+    let mut segment = Frame::Churn {
+        node: 3,
+        death: true,
+    }
+    .encode();
+    segment.extend(
+        Frame::Churn {
+            node: 3,
+            death: false,
+        }
+        .encode(),
+    );
+    segment.extend(unknown_kind_frame());
+    stream.write_all(&segment).unwrap();
+    assert!(matches!(recv(&mut stream), Frame::ChurnAck { .. }));
+    match recv(&mut stream) {
+        Frame::ChurnAck { epoch, map_digest } => {
+            assert_eq!(epoch, server.epoch());
+            assert_eq!(map_digest, server.map_digest());
+        }
+        other => panic!("expected ChurnAck, got {other:?}"),
+    }
+    match recv(&mut stream) {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+        Err(RecvError::Closed) => {}
+        other => panic!("expected close after framing violation, got {other:?}"),
+    }
+
+    // Pushes are answered by a shard worker, which may still be stepping
+    // when the reader reports the malformed frame, so only their order
+    // among themselves is fixed. Every one is answered before the hangup.
+    let mut stream = raw_stream(&server);
+    let session = open_raw(&mut stream, 2);
+    let rounds: Vec<ReadingRound> = (0..3).map(|k| shifted_round(k as f64, 8, k)).collect();
+    let mut segment: Vec<u8> = rounds.iter().flat_map(|r| push_bytes(session, r)).collect();
+    segment.extend(unknown_kind_frame());
+    stream.write_all(&segment).unwrap();
+    let mut digests = Vec::new();
+    let mut errors = 0;
+    loop {
+        match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+            Ok(Frame::Rounds {
+                session: s,
+                results,
+                digest,
+            }) => {
+                assert_eq!(s, session);
+                assert_eq!(results[0].round, digests.len() as u64);
+                digests.push(digest);
+            }
+            Ok(Frame::Error { code, .. }) => {
+                assert_eq!(code, ErrorCode::Malformed);
+                errors += 1;
+            }
+            Err(RecvError::Closed) => break,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(errors, 1);
+    assert_eq!(digests, shadow_digests(&config, &rounds));
+
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    assert!(conn.open_session(3, false).is_ok());
+}
+
+/// A burst of replies far past the writer's 64 KiB coalescing cap keeps
+/// the channel order: 4 000 pipelined opens each get exactly one intact
+/// `OpenAck`, and then two pushes and a close per session, sent phase by
+/// phase so that each session's replies are spread across the burst,
+/// come back in each session's order.
+#[test]
+fn coalesced_replies_keep_order_past_the_write_cap() {
+    const SESSIONS: u64 = 4_000;
+    let mut config = ServerConfig::fast();
+    config.queue_depth = 8_192;
+    let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
+    let mut stream = raw_stream(&server);
+
+    // A second thread writes while this one reads, so neither side's
+    // socket buffer has to hold a whole burst.
+    let send = |bytes: Vec<u8>, stream: &TcpStream| {
+        let mut writer = stream.try_clone().unwrap();
+        std::thread::spawn(move || writer.write_all(&bytes).unwrap())
+    };
+    let opens: Vec<u8> = (0..SESSIONS)
+        .flat_map(|tag| {
+            Frame::Open {
+                client_tag: tag,
+                extended: false,
+            }
+            .encode()
+        })
+        .collect();
+    let sender = send(opens, &stream);
+    let mut session_of = HashMap::new();
+    for _ in 0..SESSIONS {
+        match recv(&mut stream) {
+            Frame::OpenAck {
+                client_tag,
+                session,
+                epoch,
+                map_digest,
+            } => {
+                assert!(client_tag < SESSIONS);
+                assert_eq!(epoch, server.epoch());
+                assert_eq!(map_digest, server.map_digest());
+                let dup = session_of.insert(client_tag, session);
+                assert!(dup.is_none(), "tag {client_tag} acknowledged twice");
+            }
+            other => panic!("expected OpenAck, got {other:?}"),
+        }
+    }
+    sender.join().unwrap();
+    assert_eq!(server.session_count(), SESSIONS);
+
+    let rounds = [reading_round(0.0, 8), reading_round(1.0, 8)];
+    let expected = shadow_digests(&config, &rounds);
+    let mut burst = Vec::new();
+    for round in &rounds {
+        for &session in session_of.values() {
+            burst.extend(push_bytes(session, round));
+        }
+    }
+    for &session in session_of.values() {
+        burst.extend(Frame::Close { session }.encode());
+    }
+    let sender = send(burst, &stream);
+    let mut replies: HashMap<u64, usize> = HashMap::new();
+    for _ in 0..3 * SESSIONS {
+        let (session, step) = match recv(&mut stream) {
+            Frame::Rounds {
+                session,
+                results,
+                digest,
+            } => {
+                let step = results[0].round as usize;
+                assert_eq!(digest, expected[step]);
+                (session, step)
+            }
+            Frame::CloseAck {
+                session,
+                rounds,
+                digest,
+            } => {
+                assert_eq!(rounds, 2);
+                assert_eq!(digest, expected[1]);
+                (session, 2)
+            }
+            other => panic!("expected Rounds or CloseAck, got {other:?}"),
+        };
+        let seen = replies.entry(session).or_default();
+        assert_eq!(*seen, step, "session {session} replied out of order");
+        *seen += 1;
+    }
+    sender.join().unwrap();
+    assert_eq!(replies.len() as u64, SESSIONS);
+    assert!(replies.values().all(|&n| n == 3));
+    wait_for_session_count(&server, 0);
 }
