@@ -134,44 +134,9 @@ pub fn core_tolerances() -> Vec<(&'static str, &'static str, Tolerance)> {
     ]
 }
 
-/// The gated latency metrics of a `BENCH_serve.json` row (lower is
-/// better, same pass rule as [`core_tolerances`]). Latencies under
-/// pipelined load include queue wait, so the allowances are wide: the
-/// gate exists to catch structural losses (a lock on the hot path, an
-/// accidental O(sessions) scan), not scheduler wobble on a shared box.
-pub fn serve_latency_tolerances() -> Vec<(&'static str, Tolerance)> {
-    vec![
-        (
-            "round_p50_us",
-            Tolerance {
-                ratio: 3.0,
-                slack: 2_000.0,
-            },
-        ),
-        (
-            "round_p99_us",
-            Tolerance {
-                ratio: 3.0,
-                slack: 10_000.0,
-            },
-        ),
-    ]
-}
-
-/// The gated throughput metrics of a `BENCH_serve.json` row and the
-/// maximum tolerated slowdown factor: a fresh value passes iff
-/// `fresh ≥ baseline / factor` (higher is better).
-pub fn serve_throughput_tolerances() -> Vec<(&'static str, f64)> {
-    vec![("open_per_sec", 3.0), ("rounds_per_sec", 3.0)]
-}
-
-/// The `results` rows of a parsed bench artifact.
-fn rows_of<'a>(doc: &'a JsonValue, label: &str) -> Result<&'a [JsonValue], String> {
-    doc.get("results")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{label}: no \"results\" array — not a bench artifact"))
-}
-
+/// One gated metric of a row, or `None` when the row lacks it: core
+/// gating is presence-driven (the baseline row declares what it gates), so
+/// absence is a case for the caller to judge, not an error.
 fn metric_of(row: &JsonValue, group: &str, metric: &str) -> Option<f64> {
     row.get(group)
         .and_then(|g| g.get(metric))
@@ -194,8 +159,8 @@ fn metric_of(row: &JsonValue, group: &str, metric: &str) -> Option<f64> {
 /// baselines without newer metrics work unchanged. Extra fresh rows are
 /// ignored: widening the sweep is not a regression.
 pub fn check_core(fresh: &JsonValue, baseline: &JsonValue) -> Result<Vec<String>, String> {
-    let base_rows = rows_of(baseline, "baseline")?;
-    let fresh_rows = rows_of(fresh, "fresh run")?;
+    let base_rows = baseline.req_array("results", "baseline")?;
+    let fresh_rows = fresh.req_array("results", "fresh run")?;
     if base_rows.is_empty() {
         return Err("baseline: empty \"results\" — nothing to gate against".into());
     }
@@ -252,112 +217,6 @@ pub fn check_core(fresh: &JsonValue, baseline: &JsonValue) -> Result<Vec<String>
                     "{label}: {group}.{metric} regressed — {fresh_v:.3} vs baseline \
                      {base_v:.3} (limit {limit:.3} = {base_v:.3}×{} + {})",
                     tol.ratio, tol.slack
-                ));
-            }
-        }
-    }
-    Ok(violations)
-}
-
-/// Compares a fresh `BENCH_serve.json` document against a baseline one.
-///
-/// Serve rows are flat (metrics at the top level of each row) and keyed
-/// by `(sessions, rounds)`. Two kinds of checks run per matched row:
-///
-/// * **Correctness is absolute**: `digest_mismatches` and
-///   `result_mismatches` in the *fresh* row must be zero and
-///   `digest_checked` positive, regardless of what the baseline says —
-///   a server that returns wrong rounds fast is not a server.
-/// * **Performance is relative**: latencies pass iff
-///   `fresh ≤ baseline × ratio + slack` ([`serve_latency_tolerances`]),
-///   throughputs iff `fresh ≥ baseline / factor`
-///   ([`serve_throughput_tolerances`]).
-///
-/// Extra fresh rows are ignored, like [`check_core`].
-pub fn check_serve(fresh: &JsonValue, baseline: &JsonValue) -> Result<Vec<String>, String> {
-    let base_rows = rows_of(baseline, "baseline")?;
-    let fresh_rows = rows_of(fresh, "fresh run")?;
-    if base_rows.is_empty() {
-        return Err("baseline: empty \"results\" — nothing to gate against".into());
-    }
-    let key_of = |row: &JsonValue| {
-        let sessions = row.get("sessions").and_then(JsonValue::as_u64)?;
-        let rounds = row.get("rounds").and_then(JsonValue::as_u64)?;
-        Some((sessions, rounds))
-    };
-    let mut violations = Vec::new();
-    for base in base_rows {
-        let Some((sessions, rounds)) = key_of(base) else {
-            return Err("baseline: row without numeric \"sessions\"/\"rounds\"".into());
-        };
-        let label = format!("sessions={sessions} rounds={rounds}");
-        let Some(row) = fresh_rows
-            .iter()
-            .find(|r| key_of(r) == Some((sessions, rounds)))
-        else {
-            violations.push(format!("{label}: row missing from the fresh run"));
-            continue;
-        };
-        // Correctness invariants on the fresh row — these are what the
-        // serve bench exists to witness (bit-identical rounds from the
-        // shared-map server), so a baseline cannot waive them.
-        for field in ["digest_mismatches", "result_mismatches"] {
-            match row.get(field).and_then(JsonValue::as_u64) {
-                Some(0) => {}
-                Some(n) => violations.push(format!(
-                    "{label}: {field} = {n} — server results diverged from the in-process engine"
-                )),
-                None => violations.push(format!("{label}: fresh run lacks {field}")),
-            }
-        }
-        if row
-            .get("digest_checked")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0)
-            == 0
-        {
-            violations.push(format!(
-                "{label}: digest_checked = 0 — no session was actually verified"
-            ));
-        }
-        for (metric, tol) in serve_latency_tolerances() {
-            let Some(base_v) = base.get(metric).and_then(JsonValue::as_f64) else {
-                continue;
-            };
-            let Some(fresh_v) = row.get(metric).and_then(JsonValue::as_f64) else {
-                violations.push(format!("{label}: fresh run lacks {metric}"));
-                continue;
-            };
-            let limit = base_v * tol.ratio + tol.slack;
-            if !fresh_v.is_finite() || fresh_v < 0.0 {
-                violations.push(format!(
-                    "{label}: {metric} is not a sane timing ({fresh_v})"
-                ));
-            } else if fresh_v > limit {
-                violations.push(format!(
-                    "{label}: {metric} regressed — {fresh_v:.1} vs baseline {base_v:.1} \
-                     (limit {limit:.1} = {base_v:.1}×{} + {})",
-                    tol.ratio, tol.slack
-                ));
-            }
-        }
-        for (metric, factor) in serve_throughput_tolerances() {
-            let Some(base_v) = base.get(metric).and_then(JsonValue::as_f64) else {
-                continue;
-            };
-            let Some(fresh_v) = row.get(metric).and_then(JsonValue::as_f64) else {
-                violations.push(format!("{label}: fresh run lacks {metric}"));
-                continue;
-            };
-            let floor = base_v / factor;
-            if !fresh_v.is_finite() || fresh_v < 0.0 {
-                violations.push(format!(
-                    "{label}: {metric} is not a sane throughput ({fresh_v})"
-                ));
-            } else if fresh_v < floor {
-                violations.push(format!(
-                    "{label}: {metric} collapsed — {fresh_v:.1}/s vs baseline {base_v:.1}/s \
-                     (floor {floor:.1} = {base_v:.1}÷{factor})"
                 ));
             }
         }
@@ -541,73 +400,5 @@ mod tests {
         assert!(check_core(&ok, &not_bench).is_err());
         let empty = JsonValue::parse(r#"{"results": []}"#).unwrap();
         assert!(check_core(&ok, &empty).is_err());
-    }
-
-    fn serve_doc(p50: f64, p99: f64, opens: f64, rps: f64, mismatches: u64) -> JsonValue {
-        JsonValue::parse(&format!(
-            r#"{{"results": [{{"sessions": 10000, "rounds": 5,
-                "open_per_sec": {opens}, "rounds_per_sec": {rps},
-                "round_p50_us": {p50}, "round_p99_us": {p99},
-                "digest_checked": 10000, "digest_mismatches": {mismatches},
-                "result_mismatches": 0}}]}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn serve_identical_documents_pass() {
-        let d = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 0);
-        assert_eq!(check_serve(&d, &d).unwrap(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn serve_latency_regression_fails_throughput_direction_is_inverted() {
-        let base = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 0);
-        // p50 800×3 + 2000 = 4400 limit; 10 000 is far past it.
-        let slow = serve_doc(10_000.0, 4000.0, 20_000.0, 60_000.0, 0);
-        let violations = check_serve(&slow, &base).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("round_p50_us regressed"));
-
-        // A *higher* throughput must never violate; a collapsed one must.
-        let faster = serve_doc(800.0, 4000.0, 90_000.0, 200_000.0, 0);
-        assert!(check_serve(&faster, &base).unwrap().is_empty());
-        let collapsed = serve_doc(800.0, 4000.0, 5_000.0, 60_000.0, 0);
-        let violations = check_serve(&collapsed, &base).unwrap();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("open_per_sec collapsed"));
-    }
-
-    #[test]
-    fn serve_digest_mismatches_fail_regardless_of_baseline() {
-        // Even a baseline that itself carries mismatches cannot waive the
-        // fresh-run invariant.
-        let base = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 3);
-        let fresh = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 1);
-        let violations = check_serve(&fresh, &base).unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("digest_mismatches = 1")),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn serve_missing_row_fails() {
-        let base = serve_doc(800.0, 4000.0, 20_000.0, 60_000.0, 0);
-        let other = JsonValue::parse(
-            r#"{"results": [{"sessions": 50, "rounds": 2,
-                "digest_checked": 50, "digest_mismatches": 0,
-                "result_mismatches": 0}]}"#,
-        )
-        .unwrap();
-        let violations = check_serve(&other, &base).unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("sessions=10000 rounds=5") && v.contains("missing")),
-            "{violations:?}"
-        );
     }
 }

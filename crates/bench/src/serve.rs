@@ -1,6 +1,9 @@
-//! The `serve_load` harness: drives tens of thousands of concurrent
-//! tracking sessions against one `wsn-server` process and verifies every
-//! one of them bit-for-bit against an in-process shadow engine.
+//! The shadow-checked load client: drives concurrent tracking sessions
+//! against one `wsn-server` process and verifies every one of them
+//! bit-for-bit against an in-process shadow engine. `serve_smoke` and
+//! `ops_smoke` run it against an in-process server, and the `serve_load`
+//! bin against a running `wsn-serve`; throughput and latency are measured
+//! by the benchmark package (`crates/bench/src/bin/benchmark`), not here.
 //!
 //! The workload is fully deterministic: session `i` seeds a ChaCha8
 //! stream with [`seed_for`]`(seed, i)`, walks a random trace, and samples
@@ -8,9 +11,7 @@
 //! are then (a) stepped through a local [`TrackingSession`] over the same
 //! shared map to produce the *expected* per-round results and replay
 //! digests, and (b) pushed over the wire. Any divergence between the two
-//! is a correctness failure (`result_mismatches` / `digest_mismatches`),
-//! not a performance number — [`crate::gate::check_serve`] refuses to
-//! waive it regardless of baseline.
+//! is a correctness failure (`result_mismatches` / `digest_mismatches`).
 //!
 //! Load shape: `conns` client connections each own `sessions / conns`
 //! sessions and keep up to `window` pushes in flight (at most one per
@@ -18,7 +19,7 @@
 //! preserved even when the server sheds a batch with `Overloaded` and the
 //! harness retries it). All sessions are opened before the first round is
 //! pushed and closed after the last, so the server really holds
-//! `sessions` concurrent sessions for the whole measured window.
+//! `sessions` concurrent sessions while the rounds are served.
 
 use fttt::replay::{digest_round, Digest};
 use fttt::session::TrackingSession;
@@ -32,7 +33,6 @@ use std::time::Instant;
 use wsn_network::replay::digest_hex;
 use wsn_parallel::seed_for;
 use wsn_server::{Connection, ErrorCode, Frame, ReadingRound, RoundResult, ServerConfig};
-use wsn_telemetry::json;
 use wsn_telemetry::ArgValue;
 
 /// Load-generator shape.
@@ -59,20 +59,7 @@ pub struct LoadConfig {
 }
 
 impl LoadConfig {
-    /// The committed-baseline shape: 10⁴ concurrent sessions.
-    pub fn full() -> Self {
-        LoadConfig {
-            sessions: 10_000,
-            rounds: 5,
-            conns: 8,
-            window: 64,
-            seed: 42,
-            extended_every: 4,
-            trace: false,
-        }
-    }
-
-    /// A sub-second shape for smoke tests.
+    /// A sub-second shape: 200 sessions × 3 rounds over 4 connections.
     pub fn fast() -> Self {
         LoadConfig {
             sessions: 200,
@@ -96,24 +83,9 @@ pub fn push_trace_id(global: u64, round: usize) -> u64 {
     ((global + 1) << 20) | (round as u64 + 1)
 }
 
-/// What one load run measured and verified.
-#[derive(Debug, Clone)]
+/// What one load run (or one of its connections) verified.
+#[derive(Debug, Clone, Default)]
 pub struct ServeReport {
-    /// Sessions actually driven.
-    pub sessions: usize,
-    /// Rounds per session.
-    pub rounds: usize,
-    /// Client connections used.
-    pub conns: usize,
-    /// Session opens per second (wall clock over the open phase).
-    pub open_per_sec: f64,
-    /// Engine rounds per second (wall clock over the push phase).
-    pub rounds_per_sec: f64,
-    /// Median push round trip, µs (send → matching `Rounds` reply, under
-    /// pipelined load — queue wait included).
-    pub round_p50_us: f64,
-    /// 99th-percentile push round trip, µs.
-    pub round_p99_us: f64,
     /// Sessions whose close-time replay digest was compared.
     pub digest_checked: usize,
     /// Sessions whose server digest diverged from the shadow engine.
@@ -214,17 +186,7 @@ fn build_work(
 /// One load phase as seen by a connection thread: drive the connection
 /// over its sessions, accumulating into the thread's stats.
 type PhaseFn<'a> =
-    &'a mut dyn FnMut(&mut Connection, &mut Vec<SessWork>, &mut ConnStats) -> Result<(), String>;
-
-/// What one connection thread measured.
-struct ConnStats {
-    latencies_us: Vec<f64>,
-    shed_retries: u64,
-    result_mismatches: usize,
-    digest_checked: usize,
-    digest_mismatches: usize,
-    rounds_total: u64,
-}
+    &'a mut dyn FnMut(&mut Connection, &mut Vec<SessWork>, &mut ServeReport) -> Result<(), String>;
 
 fn conn_server_err(code: ErrorCode, context: u64, detail: &str) -> String {
     format!("server error {code:?} (context {context}): {detail}")
@@ -238,7 +200,7 @@ fn open_phase(
     conn: &mut Connection,
     work: &mut [SessWork],
     window: usize,
-    stats: &mut ConnStats,
+    stats: &mut ServeReport,
 ) -> Result<(), String> {
     let mut pending: VecDeque<usize> = (0..work.len()).collect();
     let mut acked = 0usize;
@@ -302,7 +264,7 @@ fn push_phase(
     work: &mut [SessWork],
     window: usize,
     traced: bool,
-    stats: &mut ConnStats,
+    stats: &mut ServeReport,
 ) -> Result<(), String> {
     let total_rounds: usize = work.iter().map(|w| w.rounds.len()).sum();
     let mut ready: VecDeque<usize> = (0..work.len()).collect();
@@ -337,11 +299,10 @@ fn push_phase(
                 let (i, sent_at) = inflight
                     .remove(&session)
                     .ok_or_else(|| format!("rounds reply for idle session {session}"))?;
-                let rtt_us = sent_at.elapsed().as_secs_f64() * 1e6;
-                stats.latencies_us.push(rtt_us);
                 // The client half of cross-wire correlation: same trace id
                 // the server stamped on its `fttt.server.push` event.
                 if traced && wsn_telemetry::journal_enabled() {
+                    let rtt_us = sent_at.elapsed().as_secs_f64() * 1e6;
                     wsn_telemetry::trace_instant(
                         "fttt.client.push",
                         vec![
@@ -394,7 +355,7 @@ fn push_phase(
 fn close_phase(
     conn: &mut Connection,
     work: &[SessWork],
-    stats: &mut ConnStats,
+    stats: &mut ServeReport,
 ) -> Result<(), String> {
     for w in work {
         let (rounds, digest) = conn
@@ -412,14 +373,6 @@ fn close_phase(
     Ok(())
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
 /// Runs the full open → push → close load against a live server at
 /// `addr`, which must be serving `server`'s exact configuration (the
 /// shadow engine rebuilds the map from `server.params` and the digests
@@ -434,11 +387,10 @@ pub fn run_load(
     let field = params.grid_field();
     let map = Arc::new(params.face_map(&field));
 
-    // Phase barriers: `conns` worker threads + this thread, which only
-    // keeps wall time — so per-phase elapsed covers all connections.
-    let barrier = Barrier::new(load.conns + 1);
-    let mut open_elapsed = 0.0f64;
-    let mut push_elapsed = 0.0f64;
+    // Phase barriers between the `conns` worker threads: every session
+    // is open before the first push and every push is answered before
+    // the first close.
+    let barrier = Barrier::new(load.conns);
 
     // Converts a phase panic into an error so the thread still reaches
     // its remaining barriers — a worker that vanished mid-ladder would
@@ -454,16 +406,16 @@ pub fn run_load(
         }
     }
 
-    let conn_results: Vec<Result<ConnStats, String>> = std::thread::scope(|scope| {
+    let conn_results: Vec<Result<ServeReport, String>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(load.conns);
         for c in 0..load.conns {
             let barrier = &barrier;
             let params = &params;
             let field = &field;
             let map = &map;
-            handles.push(scope.spawn(move || -> Result<ConnStats, String> {
+            handles.push(scope.spawn(move || -> Result<ServeReport, String> {
                 // Deal sessions round-robin; generate workload + shadow
-                // truth before any timing starts. A failure here (or in
+                // truth before the first open. A failure here (or in
                 // any phase) is *recorded*, not returned, so the thread
                 // still shows up at every barrier.
                 let mut failure: Option<String> = None;
@@ -481,14 +433,7 @@ pub fn run_load(
                         None
                     }
                 };
-                let mut stats = ConnStats {
-                    latencies_us: Vec::new(),
-                    shed_retries: 0,
-                    result_mismatches: 0,
-                    digest_checked: 0,
-                    digest_mismatches: 0,
-                    rounds_total: 0,
-                };
+                let mut stats = ServeReport::default();
                 let mut phase = |f: PhaseFn| {
                     if failure.is_none() {
                         if let Some((work, conn)) = setup.as_mut() {
@@ -498,14 +443,12 @@ pub fn run_load(
                         }
                     }
                 };
-                barrier.wait(); // open starts
                 phase(&mut |conn, work, stats| open_phase(conn, work, load.window, stats));
-                barrier.wait(); // open ends
-                barrier.wait(); // push starts
+                barrier.wait(); // every session open
                 phase(&mut |conn, work, stats| {
                     push_phase(conn, work, load.window, load.trace, stats)
                 });
-                barrier.wait(); // push ends
+                barrier.wait(); // every push answered
                 phase(&mut |conn, work, stats| close_phase(conn, work, stats));
                 match failure {
                     Some(e) => Err(e),
@@ -513,14 +456,6 @@ pub fn run_load(
                 }
             }));
         }
-        barrier.wait();
-        let t0 = Instant::now();
-        barrier.wait();
-        open_elapsed = t0.elapsed().as_secs_f64();
-        barrier.wait();
-        let t1 = Instant::now();
-        barrier.wait();
-        push_elapsed = t1.elapsed().as_secs_f64();
         handles
             .into_iter()
             .map(|h| {
@@ -530,104 +465,14 @@ pub fn run_load(
             .collect()
     });
 
-    let mut latencies = Vec::new();
-    let mut report = ServeReport {
-        sessions: load.sessions,
-        rounds: load.rounds,
-        conns: load.conns,
-        open_per_sec: 0.0,
-        rounds_per_sec: 0.0,
-        round_p50_us: 0.0,
-        round_p99_us: 0.0,
-        digest_checked: 0,
-        digest_mismatches: 0,
-        result_mismatches: 0,
-        shed_retries: 0,
-        rounds_total: 0,
-    };
+    let mut report = ServeReport::default();
     for r in conn_results {
         let stats = r?;
-        latencies.extend(stats.latencies_us);
         report.shed_retries += stats.shed_retries;
         report.result_mismatches += stats.result_mismatches;
         report.digest_checked += stats.digest_checked;
         report.digest_mismatches += stats.digest_mismatches;
         report.rounds_total += stats.rounds_total;
     }
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    report.round_p50_us = percentile(&latencies, 0.50);
-    report.round_p99_us = percentile(&latencies, 0.99);
-    report.open_per_sec = load.sessions as f64 / open_elapsed.max(1e-9);
-    report.rounds_per_sec = report.rounds_total as f64 / push_elapsed.max(1e-9);
     Ok(report)
-}
-
-/// Renders a `BENCH_serve.json` document (the shape
-/// [`crate::gate::check_serve`] consumes).
-pub fn render_serve_json(server: &ServerConfig, load: &LoadConfig, report: &ServeReport) -> String {
-    json::pretty(|o| {
-        o.field("bench", "serve")
-            .object("config", |c| {
-                c.field("shards", server.shards)
-                    .field("queue_depth", server.queue_depth)
-                    .field("nodes", server.params.nodes)
-                    .field("conns", report.conns)
-                    .field("window", load.window)
-                    .field("seed", load.seed)
-                    .field("extended_every", load.extended_every);
-            })
-            .array("results", |a| {
-                a.object(|r| {
-                    r.field("sessions", report.sessions)
-                        .field("rounds", report.rounds)
-                        .field("open_per_sec", report.open_per_sec)
-                        .field("rounds_per_sec", report.rounds_per_sec)
-                        .field("round_p50_us", report.round_p50_us)
-                        .field("round_p99_us", report.round_p99_us)
-                        .field("digest_checked", report.digest_checked)
-                        .field("digest_mismatches", report.digest_mismatches)
-                        .field("result_mismatches", report.result_mismatches)
-                        .field("shed_retries", report.shed_retries)
-                        .field("rounds_total", report.rounds_total);
-                });
-            });
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wsn_telemetry::json::JsonValue;
-
-    #[test]
-    fn rendered_report_parses_and_self_gates() {
-        let server = ServerConfig::fast();
-        let load = LoadConfig::fast();
-        let report = ServeReport {
-            sessions: load.sessions,
-            rounds: load.rounds,
-            conns: load.conns,
-            open_per_sec: 12_000.0,
-            rounds_per_sec: 40_000.0,
-            round_p50_us: 650.0,
-            round_p99_us: 4_200.0,
-            digest_checked: load.sessions,
-            digest_mismatches: 0,
-            result_mismatches: 0,
-            shed_retries: 3,
-            rounds_total: (load.sessions * load.rounds) as u64,
-        };
-        let doc = JsonValue::parse(&render_serve_json(&server, &load, &report)).unwrap();
-        let violations = crate::gate::check_serve(&doc, &doc).unwrap();
-        assert_eq!(violations, Vec::<String>::new());
-    }
-
-    #[test]
-    fn percentiles_pick_order_statistics() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        // Nearest-rank on the 0-indexed array: (99 × 0.5).round() = 50.
-        assert_eq!(percentile(&v, 0.5), 51.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
 }

@@ -97,7 +97,9 @@ fn ops_plane_tracks_a_live_traced_load() {
         trace: true,
     };
     let report = run_load(&tracking, &config, &load).unwrap();
+    assert_eq!(report.digest_checked, 8);
     assert_eq!(report.digest_mismatches, 0);
+    assert_eq!(report.result_mismatches, 0);
     assert_eq!(report.rounds_total, 16);
 
     // Counters advanced between scrapes and health stayed green.
@@ -134,6 +136,7 @@ fn ops_plane_tracks_a_live_traced_load() {
         ..load
     };
     let report = run_load(&tracking, &config, &v1).unwrap();
+    assert_eq!(report.digest_checked, 8);
     assert_eq!(report.digest_mismatches, 0);
     assert_eq!(report.result_mismatches, 0);
 }

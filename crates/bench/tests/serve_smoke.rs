@@ -35,8 +35,6 @@ fn load_harness_is_bit_identical_to_the_engine() {
     assert_eq!(report.digest_mismatches, 0, "close digests diverged");
     assert_eq!(report.result_mismatches, 0, "per-round results diverged");
     assert_eq!(report.rounds_total, 180);
-    assert!(report.round_p99_us >= report.round_p50_us);
-    assert!(report.open_per_sec > 0.0 && report.rounds_per_sec > 0.0);
 }
 
 /// Hand-driven session with a blackout round in the middle: the wire

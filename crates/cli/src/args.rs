@@ -25,8 +25,9 @@ COMMANDS:
     campaign  fault campaign: self-healing sessions across fault regimes
     theory    print the Section-5 sampling-times table
     explain   render a human-readable timeline from a --trace-out file;
-              `explain CLIENT --correlate SERVER` joins a serve_load
-              client trace against the server journal by wire trace id
+              `explain CLIENT --correlate SERVER` joins a client trace
+              (serve_load --connect ADDR --trace-out CLIENT) against
+              the server journal by wire trace id
               and names the server-side cause of each slow push
     replay    re-run a campaign recorded with --trace-out and diff every
               round against the recording (exit 1 on divergence)

@@ -415,7 +415,7 @@ pub fn render(summary: &TraceSummary) -> String {
 }
 
 /// One `fttt.client.push` event: the client-observed side of a traced
-/// push batch (`serve_load --trace-out`).
+/// push batch (`serve_load --connect ADDR --trace-out PATH`).
 #[derive(Debug, Clone)]
 pub struct ClientPush {
     /// Wire trace id, parsed from the hex field (`None` when malformed).

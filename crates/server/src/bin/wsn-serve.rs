@@ -1,8 +1,9 @@
 //! `wsn-serve`: the tracking-as-a-service daemon.
 //!
 //! Binds a TCP address, prints `LISTENING <addr>` on stdout (the contract
-//! the `serve_load` generator parses when it spawns this binary), then
-//! serves sessions until a client sends a `Shutdown` frame. With
+//! the benchmark package, `crates/bench/src/bin/benchmark`, parses when it
+//! spawns this binary), then serves sessions until a client sends a
+//! `Shutdown` frame (`serve_load --shutdown ADDR` sends one). With
 //! `--ops-listen` it also binds the live ops plane (`/metrics`,
 //! `/healthz`, `/sessions/<id>`) and prints `OPS LISTENING <addr>` as a
 //! second banner line. At exit it writes the merged `fttt.server.*`

@@ -12,8 +12,9 @@
 //! folds every round through [`fttt::replay::digest_round`] and reports
 //! the running digest with each reply, so a client running a shadow
 //! in-process [`fttt::session::TrackingSession`] on the same readings can
-//! check **bit-identity** end-to-end — the `serve_smoke` tier-1 test and
-//! the `serve_load` generator both do.
+//! check **bit-identity** end-to-end — the `serve_smoke` tier-1 test, the
+//! `serve_load` client and the benchmark's 10⁴-session shadow check all
+//! do.
 //!
 //! Robustness stance (the trust-model papers' lesson applied to the
 //! transport): a hostile or broken client can produce truncated frames,
