@@ -48,7 +48,9 @@
 //! sharded runs produce bit-identical rows and checksums.
 
 use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use fttt::config::PaperParams;
 use fttt::facemap::{FaceMap, RepairMode, RepairReport};
@@ -350,10 +352,10 @@ fn campaign_params(cfg: &CampaignConfig) -> PaperParams {
         .with_cell_size(2.0)
 }
 
-/// The per-cell immutable context one trial runs against: the campaign's
-/// shared deployment and face map (built once per campaign; every session
-/// starts on it without a copy), the cell's parsed schedule, and — for
-/// repairing churn cells — the cell's [`repair_chain`].
+/// The immutable context one trial runs against: the campaign's shared
+/// deployment and face map (built once per campaign; every session starts
+/// on it without a copy), the cell's parsed schedule, and — for repairing
+/// churn cells — the [`repair_chain`] its group shares.
 struct TrialEnv<'a> {
     params: &'a PaperParams,
     field: &'a SensorField,
@@ -363,7 +365,8 @@ struct TrialEnv<'a> {
     duration: f64,
 }
 
-/// One churn event of a repairing cell, repaired once for all its trials.
+/// One churn event of a repair chain, repaired once for all the trials
+/// that share the chain.
 struct ChainLink {
     map: Arc<FaceMap>,
     report: RepairReport,
@@ -372,33 +375,54 @@ struct ChainLink {
     digest: u64,
 }
 
-/// A repairing cell's churn chain: every churn event of `schedule`, in
-/// order, each repaired from the map the previous one left, starting at
-/// `base`. Repair is deterministic, so every trial of the cell adopts
-/// these maps instead of re-deriving (and re-digesting) them: the chain
-/// costs one repair and one digest per event per cell, whatever the trial
-/// count. A trial whose trace ends early adopts a prefix.
+/// A repair chain: every churn event of `schedule`, in order, each
+/// repaired from the map the previous one left, starting at `base`.
+/// Repair is deterministic, so every trial of every cell that shares the
+/// schedule and the repair mode adopts these maps instead of re-deriving
+/// (and re-digesting) them: the chain costs one repair and one digest per
+/// event, whatever the cell and trial count. A trial whose trace ends
+/// early adopts a prefix.
+///
+/// The repairs run in order on the calling thread, since link k + 1 is
+/// repaired from link k's map; the digests are independent once every
+/// map exists and run in parallel, zipped back in link order. The chain's
+/// wall time (repairs plus digests) is one `fttt.campaign.chain_us`
+/// observation, and its length adds to `fttt.campaign.chain.links`.
 fn repair_chain(
     base: &Arc<FaceMap>,
     schedule: &Schedule,
     nodes: usize,
     mode: RepairMode,
 ) -> Vec<ChainLink> {
+    let started = Instant::now();
     let mut map = Arc::clone(base);
-    schedule
+    let repaired: Vec<(Arc<FaceMap>, RepairReport)> = schedule
         .engine(nodes)
         .churn_events_between(None, f64::INFINITY)
         .into_iter()
         .map(|e| {
             let (next, report) = map.repaired(e.node, e.death, mode);
             map = Arc::new(next);
-            ChainLink {
-                digest: digest_face_map(&map),
-                map: Arc::clone(&map),
-                report,
-            }
+            (Arc::clone(&map), report)
         })
-        .collect()
+        .collect();
+    let digests = par_map(&repaired, |_, (map, _)| digest_face_map(map));
+    let chain: Vec<ChainLink> = repaired
+        .into_iter()
+        .zip(digests)
+        .map(|((map, report), digest)| ChainLink {
+            map,
+            report,
+            digest,
+        })
+        .collect();
+    telemetry::observe(
+        "fttt.campaign.chain_us",
+        telemetry::DURATION_US_BUCKETS,
+        started.elapsed().as_secs_f64() * 1e6,
+    );
+    telemetry::counter_add("fttt.campaign.chain.links", chain.len() as u64);
+    chain
 }
 
 /// Runs one seeded session trial, returning the run plus its replay
@@ -470,11 +494,11 @@ fn run_session_trial(
                 return;
             }
             for e in engine.borrow().churn_events_between(prev_t, t) {
-                let link = links.next().expect("the cell chain covers every event");
+                let link = links.next().expect("the chain covers every event");
                 assert_eq!(
                     (link.report.node, link.report.death),
                     (e.node, e.death),
-                    "churn event at t = {} left the cell chain",
+                    "churn event at t = {} left the chain",
                     e.t
                 );
                 s.adopt_repair(t, Arc::clone(&link.map), &link.report);
@@ -553,15 +577,32 @@ pub fn run_campaign_stats(
     let map_digest = digest_face_map(&map);
     let cells = campaign_cells(kind);
     journal_header(cfg, kind, &cells, map_digest);
-    let mut stats = Vec::with_capacity(cells.len() * cfg.trials.div_ceil(shards));
-    for cell in &cells {
-        let schedule = Schedule::parse(&cell.schedule_text).expect("cell schedule is valid");
+    let trials: Vec<u64> = (0..cfg.trials as u64)
+        .filter(|i| *i as usize % shards == shard_id)
+        .collect();
+    let mut stats = Vec::with_capacity(cells.len() * trials.len());
+    let mut rest = &cells[..];
+    while let Some(first) = rest.first() {
+        // Consecutive cells with one schedule and one churn policy (the
+        // two methods of a churn policy, of a showcase regime, of a
+        // custom schedule) form a group that shares one chain and one
+        // trial fan-out.
+        let policy = churn_policy_of(&first.regime);
+        let len = rest
+            .iter()
+            .take_while(|c| {
+                c.schedule_text == first.schedule_text && churn_policy_of(&c.regime) == policy
+            })
+            .count();
+        let (group, tail) = rest.split_at(len);
+        rest = tail;
+        let schedule = Schedule::parse(&first.schedule_text).expect("cell schedule is valid");
         // Built on this thread before the trials fan out (a chain the
         // workers fill lazily peaks higher in memory) and dropped with the
-        // cell. One chain per cell, never shared across policies, so the
-        // incremental and rebuild cells stay independent computations for
-        // `check_churn_digests` to compare.
-        let chain = match churn_policy_of(&cell.regime) {
+        // group, so one chain is live at a time. Never shared across
+        // policies, so the incremental and rebuild cells stay independent
+        // computations for `check_churn_digests` to compare.
+        let chain = match policy {
             Some(ChurnPolicy::Incremental) => {
                 repair_chain(&map, &schedule, field.len(), RepairMode::Incremental)
             }
@@ -578,10 +619,13 @@ pub fn run_campaign_stats(
             chain: &chain,
             duration: cfg.duration,
         };
-        let idx: Vec<u64> = (0..cfg.trials as u64)
-            .filter(|i| *i as usize % shards == shard_id)
+        // Cell-major, so the results extend `stats` in `(cell, trial)`
+        // order.
+        let jobs: Vec<(&CellSpec, u64)> = group
+            .iter()
+            .flat_map(|cell| trials.iter().map(move |&i| (cell, i)))
             .collect();
-        let cell_stats: Vec<TrialStat> = par_map(&idx, |_, &i| {
+        stats.extend(par_map(&jobs, |_, &(cell, i)| {
             let seed = seed_for(cfg.seed, i);
             // The epoch folded into the id is the map's at session start —
             // always the pristine build here, but a harness that re-runs
@@ -597,8 +641,7 @@ pub fn run_campaign_stats(
             let stat = trial_stat_of(cell, i, seed, session, &run, digest);
             journal_trial(cell, &stat);
             stat
-        });
-        stats.extend(cell_stats);
+        }));
     }
     CampaignStats {
         cells,
@@ -802,10 +845,15 @@ pub fn run_custom_schedule(
 /// stats: the `churn-incremental` and `churn-rebuild` cells of the same
 /// method must have produced bit-identical trial digests — the
 /// incrementally repaired map walked the exact trajectory the
-/// rebuild-per-event reference did, round for round, epoch for epoch.
-/// Returns one message per mismatch; empty for campaigns without churn
+/// rebuild-per-event reference did, round for round, epoch for epoch. A
+/// trial present in only one of the two cells is a violation too.
+/// Returns one message per violation; empty for campaigns without churn
 /// cells.
 pub fn check_churn_digests(cells: &[CellSpec], stats: &[TrialStat]) -> Vec<String> {
+    let digests: BTreeMap<(usize, u64), u64> = stats
+        .iter()
+        .map(|s| ((s.cell, s.trial), s.digest))
+        .collect();
     let mut violations = Vec::new();
     for (method, _) in METHODS {
         let cell_of = |policy_label: &str| {
@@ -817,24 +865,30 @@ pub fn check_churn_digests(cells: &[CellSpec], stats: &[TrialStat]) -> Vec<Strin
         else {
             continue;
         };
-        let digest_of = |cell: usize, trial: u64| {
-            stats
-                .iter()
-                .find(|s| s.cell == cell && s.trial == trial)
-                .map(|s| s.digest)
+        let trials_of = |cell: usize| {
+            digests
+                .range((cell, 0)..=(cell, u64::MAX))
+                .map(|(&(_, trial), _)| trial)
         };
-        let trials: Vec<u64> = stats
-            .iter()
-            .filter(|s| s.cell == inc.index)
-            .map(|s| s.trial)
-            .collect();
+        let trials: BTreeSet<u64> = trials_of(inc.index).chain(trials_of(reb.index)).collect();
         for trial in trials {
-            match (digest_of(inc.index, trial), digest_of(reb.index, trial)) {
-                (Some(a), Some(b)) if a != b => violations.push(format!(
+            match (
+                digests.get(&(inc.index, trial)),
+                digests.get(&(reb.index, trial)),
+            ) {
+                (Some(&a), Some(&b)) if a != b => violations.push(format!(
                     "{method} churn trial {trial}: incremental digest {} != rebuild digest {} — \
                      incremental repair left the rebuild-per-event trajectory",
                     digest_hex(a),
                     digest_hex(b)
+                )),
+                (Some(_), None) => violations.push(format!(
+                    "{method} churn trial {trial}: present in the incremental cell, \
+                     missing from the rebuild cell"
+                )),
+                (None, Some(_)) => violations.push(format!(
+                    "{method} churn trial {trial}: present in the rebuild cell, \
+                     missing from the incremental cell"
                 )),
                 _ => {}
             }
@@ -1130,6 +1184,132 @@ mod tests {
         // A different seed must move the digest.
         let c = run_session_trial(&env, false, 124, 1);
         assert_ne!(a.1, c.1, "different seed, same digest — digest is blind");
+    }
+
+    /// The incremental and rebuild chains over the churn schedule agree
+    /// link for link, and every link carries its own map's digest (which
+    /// pins the order the parallel digests are zipped back in).
+    #[test]
+    fn repair_chains_agree_and_carry_their_maps_digests() {
+        let params = campaign_params(&CampaignConfig::fast(1));
+        let field = params.grid_field();
+        let map = Arc::new(params.face_map(&field));
+        let schedule = Schedule::parse(CHURN_SCHEDULE).unwrap();
+        let chain = |mode| repair_chain(&map, &schedule, field.len(), mode);
+        let key = |l: &ChainLink| (l.report.node, l.report.death, l.report.epoch, l.digest);
+        let inc = chain(RepairMode::Incremental);
+        let reb = chain(RepairMode::Rebuild);
+        assert_eq!(inc.len(), 6, "3 deaths and 3 revivals");
+        assert_eq!(
+            inc.iter().map(key).collect::<Vec<_>>(),
+            reb.iter().map(key).collect::<Vec<_>>()
+        );
+        for (k, link) in inc.iter().chain(&reb).enumerate() {
+            assert_eq!(link.digest, digest_face_map(&link.map), "link {k}");
+        }
+        // Each event moves the map, so a misordered zip cannot pass.
+        assert!(inc.windows(2).all(|w| w[0].digest != w[1].digest));
+    }
+
+    #[test]
+    fn campaign_stats_come_back_in_cell_trial_order() {
+        let cfg = CampaignConfig {
+            seed: 3,
+            trials: 4,
+            duration: 3.0,
+            nodes: 8,
+        };
+        for shards in [1, 3] {
+            for shard_id in 0..shards {
+                let part = run_campaign_stats(&cfg, &CampaignKind::Churn, shards, shard_id);
+                let keys: Vec<(usize, u64)> =
+                    part.stats.iter().map(|s| (s.cell, s.trial)).collect();
+                let want: Vec<(usize, u64)> = (0..part.cells.len())
+                    .flat_map(|cell| {
+                        (0..cfg.trials as u64)
+                            .filter(|t| *t as usize % shards == shard_id)
+                            .map(move |t| (cell, t))
+                    })
+                    .collect();
+                assert_eq!(keys, want, "shard {shard_id}/{shards}");
+            }
+        }
+    }
+
+    /// Synthetic churn-campaign stats: every cell, `trials` trials, each
+    /// trial's digest its trial index (so every policy agrees).
+    fn churn_stats(trials: u64) -> (Vec<CellSpec>, Vec<TrialStat>) {
+        let cells = campaign_cells(&CampaignKind::Churn);
+        let stats = cells
+            .iter()
+            .flat_map(|c| {
+                (0..trials).map(|trial| TrialStat {
+                    cell: c.index,
+                    trial,
+                    seed: trial,
+                    session: trial,
+                    mean_error: 1.0,
+                    rounds: 1,
+                    lost_rounds: 0,
+                    degraded_rounds: 0,
+                    recovered: false,
+                    total_samples: 1,
+                    digest: trial,
+                })
+            })
+            .collect();
+        (cells, stats)
+    }
+
+    fn cell_index(cells: &[CellSpec], regime: &str, method: &str) -> usize {
+        cells
+            .iter()
+            .find(|c| c.regime == regime && c.method == method)
+            .unwrap()
+            .index
+    }
+
+    #[test]
+    fn churn_digest_check_flags_mismatches() {
+        let (cells, mut stats) = churn_stats(3);
+        assert!(check_churn_digests(&cells, &stats).is_empty());
+        let reb = cell_index(&cells, "churn-rebuild", "FTTT-ext");
+        stats
+            .iter_mut()
+            .find(|s| s.cell == reb && s.trial == 2)
+            .unwrap()
+            .digest ^= 1;
+        let v = check_churn_digests(&cells, &stats);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("FTTT-ext churn trial 2: incremental digest"));
+    }
+
+    #[test]
+    fn churn_digest_check_flags_a_dropped_rebuild_trial() {
+        let (cells, mut stats) = churn_stats(3);
+        let reb = cell_index(&cells, "churn-rebuild", "FTTT-basic");
+        stats.retain(|s| !(s.cell == reb && s.trial == 1));
+        let v = check_churn_digests(&cells, &stats);
+        assert_eq!(
+            v,
+            [
+                "FTTT-basic churn trial 1: present in the incremental cell, \
+              missing from the rebuild cell"
+            ]
+        );
+    }
+
+    #[test]
+    fn churn_digest_check_flags_a_dropped_incremental_trial() {
+        let (cells, mut stats) = churn_stats(3);
+        let inc = cell_index(&cells, "churn-incremental", "FTTT-ext");
+        stats.retain(|s| !(s.cell == inc && s.trial == 0));
+        let v = check_churn_digests(&cells, &stats);
+        assert_eq!(
+            v,
+            ["FTTT-ext churn trial 0: present in the rebuild cell, \
+              missing from the incremental cell"]
+        );
     }
 
     /// The sharding invariant, in miniature: running the trials of every

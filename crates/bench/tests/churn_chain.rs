@@ -1,13 +1,15 @@
-//! The campaign runner repairs each churn event once per repairing cell,
-//! not once per trial: every trial of a `churn-incremental` or
-//! `churn-rebuild` cell adopts the cell's shared repair chain. With a
-//! metrics sink installed, `fttt.map.repair.count` over one
-//! `run_campaign_stats` call must equal (repairing cells × schedule
-//! events) whatever the trial count.
+//! The campaign runner repairs each churn event once per repairing
+//! policy, not once per cell or per trial: the `FTTT-basic` and
+//! `FTTT-ext` cells of `churn-incremental` share one repair chain, and
+//! so do those of `churn-rebuild`. With a metrics sink installed,
+//! `fttt.map.repair.count` over one `run_campaign_stats` call must equal
+//! (repairing policies × schedule events) whatever the trial count, and
+//! the runner's own chain metrics must agree.
 //!
 //! The metrics sink is process-global, so this file is its own test
 //! binary and one `#[test]` drives every phase in sequence.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use fttt_bench::robustness::{
@@ -17,9 +19,15 @@ use fttt_bench::robustness::{
 use wsn_network::Schedule;
 use wsn_telemetry::Registry;
 
-/// `fttt.map.repair.count` and `fttt.session.churn_events` over one
-/// churn campaign of `trials` trials per cell.
-fn repair_counts(trials: usize) -> (u64, u64) {
+/// What one churn campaign of `trials` trials per cell records.
+struct Counts {
+    repairs: u64,
+    adopted: u64,
+    chains: u64,
+    links: u64,
+}
+
+fn churn_counts(trials: usize) -> Counts {
     let cfg = CampaignConfig {
         trials,
         ..CampaignConfig::fast(42)
@@ -30,35 +38,48 @@ fn repair_counts(trials: usize) -> (u64, u64) {
     wsn_telemetry::uninstall();
     let snap = registry.snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    (
-        counter("fttt.map.repair.count"),
-        counter("fttt.session.churn_events"),
-    )
+    Counts {
+        repairs: counter("fttt.map.repair.count"),
+        adopted: counter("fttt.session.churn_events"),
+        chains: snap
+            .histograms
+            .get("fttt.campaign.chain_us")
+            .map_or(0, |h| h.count),
+        links: counter("fttt.campaign.chain.links"),
+    }
 }
 
 #[test]
-fn each_churn_event_is_repaired_once_per_cell() {
-    let repairing = campaign_cells(&CampaignKind::Churn)
+fn each_churn_event_is_repaired_once_per_policy() {
+    let cells = campaign_cells(&CampaignKind::Churn);
+    let repairing: Vec<_> = cells
         .iter()
         .filter(|c| churn_policy_of(&c.regime) != Some(ChurnPolicy::Stale))
-        .count() as u64;
+        .collect();
+    let policies = repairing
+        .iter()
+        .map(|c| c.regime.as_str())
+        .collect::<BTreeSet<_>>()
+        .len() as u64;
+    let repairing = repairing.len() as u64;
     let events = Schedule::parse(CHURN_SCHEDULE)
         .unwrap()
         .engine(8)
         .churn_events_between(None, f64::INFINITY)
         .len() as u64;
-    assert_eq!((repairing, events), (4, 6));
+    assert_eq!((policies, repairing, events), (2, 4, 6));
     for trials in [3, 6] {
-        let (repairs, adopted) = repair_counts(trials);
+        let c = churn_counts(trials);
         assert_eq!(
-            repairs,
-            repairing * events,
-            "{trials} trials: repairs must not scale with the trial count"
+            c.repairs,
+            policies * events,
+            "{trials} trials: repairs must scale with neither the cell nor the trial count"
         );
+        assert_eq!((c.chains, c.links), (policies, policies * events));
         // Every trial still adopts every event (the fast trace outlasts
         // the last revival at t = 14).
         assert_eq!(
-            adopted,
+            c.adopted,
             repairing * events * trials as u64,
             "{trials} trials"
         );
