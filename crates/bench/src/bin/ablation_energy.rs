@@ -29,7 +29,7 @@ fn frontier_point(params: &PaperParams, trials: usize, seed: u64) -> (f64, f64, 
         for p in trace.points() {
             let group = sampler.sample(&field, p.pos, &mut rng);
             ledger.charge_grouping(&group);
-            let (estimate, outcome) = tracker.localize(&tracker.sampling_vector(&group));
+            let (estimate, outcome) = tracker.localize(&tracker.query(&group));
             localizations.push((estimate.distance(p.pos), outcome));
         }
         ledger.charge_idle(trace.duration());

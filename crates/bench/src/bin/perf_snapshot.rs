@@ -18,11 +18,13 @@
 //!   `difference_norm_squared` plus a `1/√d²`, tracking the max similarity.
 //!
 //! Every build/match row also times one localization round's stages
-//! (`round_us`): Algorithm 1 through the dense kernel (`alg1_basic`,
-//! `alg1_extended`) against the per-pair [`PairEvidence::gather`] path
-//! with eq. (6) rescanning both columns per pair (`alg1_reference`,
-//! ungated), and one warm heuristic [`TrackingSession::step`]
-//! (`session_step`: Algorithm 1, match and health checks).
+//! (`round_us`): Algorithm 1 as the session runs it — the bit-parallel
+//! kernel writing the packed query into reused buffers
+//! ([`QueryBuilder`]; `alg1_basic`, `alg1_extended`) — against the
+//! per-pair [`PairEvidence::gather`] path with eq. (6) rescanning both
+//! columns per pair (`alg1_reference`, ungated), and one warm heuristic
+//! [`TrackingSession::step`] (`session_step`: Algorithm 1, match and
+//! health checks).
 //!
 //! A final `map_repair_us` row times the live-churn path at n = 40,
 //! cell 4 m: the median single-node death + revive repair, incremental
@@ -42,7 +44,7 @@
 
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
 use fttt::matching::{match_exhaustive, match_heuristic, match_indexed};
-use fttt::sampling::{basic_sampling_vector, extended_sampling_vector, PairEvidence};
+use fttt::sampling::{basic_sampling_vector, PairEvidence, QueryBuilder};
 use fttt::session::{SessionOptions, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
 use fttt::vector::{difference_norm_squared, SamplingVector, SignatureVector};
@@ -219,8 +221,9 @@ fn reference_basic_sampling_vector(group: &GroupSampling) -> SamplingVector {
     )
 }
 
-/// Per-round stage timings of one row, µs: Algorithm 1 three ways and one
-/// warm heuristic session step.
+/// Per-round stage timings of one row, µs: Algorithm 1 three ways (the
+/// per-pair reference vector, the basic and the extended packed query)
+/// and one warm heuristic session step.
 struct RoundCols {
     alg1_reference_us: f64,
     alg1_basic_us: f64,
@@ -238,6 +241,7 @@ fn time_round(s: &Setup, rounds: usize, batch: usize) -> RoundCols {
         session.step(0.0, &s.group);
     }
     let per_call = |r: f64| r / batch as f64 * 1e3;
+    let (mut basic, mut extended) = (QueryBuilder::new(), QueryBuilder::new());
     let times = time_interleaved_ms(
         rounds,
         &mut [
@@ -248,12 +252,12 @@ fn time_round(s: &Setup, rounds: usize, batch: usize) -> RoundCols {
             },
             &mut || {
                 for _ in 0..batch {
-                    std::hint::black_box(basic_sampling_vector(&s.group));
+                    std::hint::black_box(basic.build(&s.group, None, false));
                 }
             },
             &mut || {
                 for _ in 0..batch {
-                    std::hint::black_box(extended_sampling_vector(&s.group));
+                    std::hint::black_box(extended.build(&s.group, None, true));
                 }
             },
             &mut || {
@@ -629,7 +633,7 @@ fn main() {
     }
     for r in &rows {
         println!(
-            "n = {:>3}: Algorithm 1 speedup (per-pair reference / dense basic) = {:.2}x, \
+            "n = {:>3}: Algorithm 1 speedup (per-pair reference / packed basic query) = {:.2}x, \
              session step = {:.1} µs",
             r.n,
             r.round.alg1_reference_us / r.round.alg1_basic_us,
@@ -756,7 +760,8 @@ fn render_json(
                          hash grouping, centroid/neighbor passes) and the per-face \
                          difference_norm_squared + 1/sqrt exhaustive scan; round_us.alg1_reference \
                          is Algorithm 1 per pair through PairEvidence::gather with per-pair \
-                         node_responded rescans",
+                         node_responded rescans; round_us.alg1_basic and alg1_extended build \
+                         the round's packed query into reused buffers (QueryBuilder)",
                     );
             })
             .array("results", |a| {

@@ -86,7 +86,7 @@ pub fn core_tolerances() -> Vec<(&'static str, &'static str, Tolerance)> {
                 slack: 50.0,
             },
         ),
-        // One localization round: the dense Algorithm-1 kernel (basic
+        // One localization round: Algorithm 1 into the packed query (basic
         // and extended) and a warm heuristic session step. The per-pair
         // `alg1_reference` normalizes the kernel's speedup and is not
         // gated. Eight full runs of the same code on a shared 2-vCPU host

@@ -784,14 +784,9 @@ impl FaceMap {
     /// Panics if `v` matches neither the deployment's pair count nor the
     /// map's pair dimension.
     pub fn project_sampling_vector(&self, v: SamplingVector) -> SamplingVector {
-        if self.pair_gather.is_empty() || v.len() == self.pair_dimension() {
+        if self.keeps_every_pair(v.len()) {
             return v;
         }
-        assert_eq!(
-            v.len(),
-            pair_count(self.deployment.len()),
-            "sampling vector matches neither the deployment nor the map pairs"
-        );
         let comps = v.components();
         SamplingVector::new(
             self.pair_gather
@@ -799,6 +794,41 @@ impl FaceMap {
                 .map(|&i| comps[i as usize])
                 .collect(),
         )
+    }
+
+    /// The columns of a grouping with `group_nodes` nodes that a round's
+    /// query is built over ([`QueryBuilder::build`]): `None` (every
+    /// column) where [`FaceMap::project_sampling_vector`] would pass the
+    /// vector through, and the live nodes where it would drop the
+    /// dead-node pairs.
+    ///
+    /// [`QueryBuilder::build`]: crate::sampling::QueryBuilder::build
+    ///
+    /// # Panics
+    ///
+    /// As `project_sampling_vector`: if the grouping matches neither the
+    /// deployment nor the map's live nodes.
+    pub fn query_columns(&self, group_nodes: usize) -> Option<&[u32]> {
+        (!self.keeps_every_pair(pair_count(group_nodes))).then_some(&self.live)
+    }
+
+    /// Whether a query of `dim` pairs is kept whole — the map has no dead
+    /// nodes, or the query is already over its live pairs — rather than
+    /// cut down from the deployment's pairs to the live ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` matches neither the deployment nor the map pairs.
+    fn keeps_every_pair(&self, dim: usize) -> bool {
+        if self.pair_gather.is_empty() || dim == self.pair_dimension() {
+            return true;
+        }
+        assert_eq!(
+            dim,
+            pair_count(self.deployment.len()),
+            "sampling vector matches neither the deployment nor the map pairs"
+        );
+        false
     }
 
     /// The uncertainty constant used.

@@ -3,17 +3,21 @@
 //! Both matchers rank faces by the `*`-aware squared distance
 //! `‖V_d − V_s(f)‖²` evaluated with the packed
 //! [`SignaturePlanes`](crate::vector::SignaturePlanes) kernel — the
-//! sampling vector is packed once per call and compared against every
-//! candidate face with branch-free popcount arithmetic. Similarity
-//! `S = 1/‖·‖` (Definition 7) is monotone decreasing in the distance, so
-//! ranking by squared distance is equivalent and needs the reciprocal
-//! square root only once, for the winner. Ties are detected on the exact
-//! squared distance, not on the rounded similarity: `1/√d²` maps distinct
-//! nearby `d²` values to the same f64, so comparing similarities would
-//! fabricate ties that the metric does not have.
+//! round's query is packed once (the tracker builds it straight from the
+//! grouping) and compared against every candidate face with branch-free
+//! popcount arithmetic. Each matcher's work is its `*_packed` form on
+//! that query; the public `SamplingVector` forms pack and call it.
+//! Similarity `S = 1/‖·‖` (Definition 7) is monotone decreasing in the
+//! distance, so ranking by squared distance is equivalent and needs the
+//! reciprocal square root only once, for the winner. Ties are detected
+//! on the exact squared distance, not on the rounded similarity: `1/√d²`
+//! maps distinct nearby `d²` values to the same f64, so comparing
+//! similarities would fabricate ties that the metric does not have.
 
 use crate::facemap::{FaceId, FaceMap};
 use crate::vector::{PackedQuery, SamplingVector};
+use std::cell::Cell;
+use std::collections::VecDeque;
 use wsn_telemetry as telemetry;
 
 /// Result of matching one sampling vector against a face map.
@@ -37,6 +41,15 @@ impl MatchOutcome {
     pub fn is_tied(&self) -> bool {
         self.ties.len() > 1
     }
+}
+
+/// Both sides of a match must come from the same deployment.
+fn assert_dimension(map: &FaceMap, q: &PackedQuery) {
+    assert_eq!(
+        q.dim(),
+        map.pair_dimension(),
+        "vector/map pair-dimension mismatch"
+    );
 }
 
 /// Similarity of the winning squared distance (Definition 7): the one
@@ -64,16 +77,21 @@ fn similarity_of_d2(d2: f64) -> f64 {
 /// Panics if the vector's dimension does not match the map's pair count
 /// (they must come from the same deployment).
 pub fn match_exhaustive(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
-    assert_eq!(
-        v.len(),
-        map.pair_dimension(),
-        "vector/map pair-dimension mismatch"
-    );
+    match_exhaustive_packed(map, &PackedQuery::new(v))
+}
+
+/// [`match_exhaustive`] on a query already packed — the form the tracker
+/// calls with the round's one query.
+///
+/// # Panics
+///
+/// Panics if the query's dimension does not match the map's pair count.
+pub(crate) fn match_exhaustive_packed(map: &FaceMap, q: &PackedQuery) -> MatchOutcome {
+    assert_dimension(map, q);
     let planes = map.planes();
-    let q = PackedQuery::new(v);
     let mut best_d2 = f64::INFINITY;
     let mut ties: Vec<FaceId> = Vec::new();
-    for (f, d2) in planes.scan(&q) {
+    for (f, d2) in planes.scan(q) {
         if d2 < best_d2 {
             best_d2 = d2;
             ties.clear();
@@ -226,15 +244,20 @@ impl BestFirstFrontier {
 ///
 /// Panics if the vector's dimension does not match the map's pair count.
 pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
-    assert_eq!(
-        v.len(),
-        map.pair_dimension(),
-        "vector/map pair-dimension mismatch"
-    );
+    match_indexed_packed(map, &PackedQuery::new(v))
+}
+
+/// [`match_indexed`] on a query already packed; its fallback scan reuses
+/// the same query.
+///
+/// # Panics
+///
+/// Panics if the query's dimension does not match the map's pair count.
+pub(crate) fn match_indexed_packed(map: &FaceMap, q: &PackedQuery) -> MatchOutcome {
+    assert_dimension(map, q);
     let planes = map.planes();
-    let q = PackedQuery::new(v);
     if !q.is_packed_ternary() || !planes.has_chunks() {
-        return match_exhaustive(map, v);
+        return match_exhaustive_packed(map, q);
     }
     let chunk_count = planes.chunk_count();
     // Ternary distances and bounds are exact small integers in f64, so
@@ -250,7 +273,7 @@ pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
     let mut frontier = BestFirstFrontier::with_capacity(planes.super_count() + 16);
     let mut min_bound = f64::INFINITY;
     for s in 0..planes.super_count() as u32 {
-        let b = planes.super_lower_bound(s as usize, &q);
+        let b = planes.super_lower_bound(s as usize, q);
         min_bound = min_bound.min(b);
         frontier.push(b, Node::Super(s));
     }
@@ -272,7 +295,7 @@ pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
             Node::Super(s) => {
                 descended += 1;
                 for c in planes.super_chunks(s as usize) {
-                    frontier.push(planes.chunk_lower_bound(c, &q), Node::Leaf(c as u32));
+                    frontier.push(planes.chunk_lower_bound(c, q), Node::Leaf(c as u32));
                 }
             }
             Node::Leaf(c) => {
@@ -284,7 +307,7 @@ pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
                     // rejected face provably has d² > best and
                     // can neither win nor tie, so the outcome stays
                     // bit-identical to the exhaustive scan.
-                    let Some(d2) = planes.chunk_slot_distance_within(c as usize, slot, &q, best_d2)
+                    let Some(d2) = planes.chunk_slot_distance_within(c as usize, slot, q, best_d2)
                     else {
                         continue;
                     };
@@ -356,6 +379,38 @@ pub fn match_indexed(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
     }
 }
 
+/// A thread's reusable bookkeeping for [`match_heuristic_packed`], so a
+/// climb allocates nothing but its tie list: one visit stamp per face
+/// (face `f` is visited in the current climb iff `stamps[f] == epoch`,
+/// and each climb takes a fresh epoch instead of clearing) and the
+/// plateau frontier.
+#[derive(Debug, Default)]
+struct ClimbScratch {
+    stamps: Vec<u32>,
+    epoch: u32,
+    frontier: VecDeque<FaceId>,
+}
+
+impl ClimbScratch {
+    /// Starts a climb over a map of `faces` faces.
+    fn begin(&mut self, faces: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps of old climbs could equal the new epoch.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        if self.stamps.len() < faces {
+            self.stamps.resize(faces, 0);
+        }
+        self.frontier.clear();
+    }
+}
+
+thread_local! {
+    static CLIMB_SCRATCH: Cell<ClimbScratch> = Cell::default();
+}
+
 /// `[3, 17, 9]` → `"3>17>9"`, elided past `HOP_PATH_DISPLAY_CAP` faces.
 fn render_hop_path(path: &[u32]) -> String {
     /// Faces shown before the path is elided; keeps one journal arg
@@ -397,11 +452,20 @@ fn render_hop_path(path: &[u32]) -> String {
 ///
 /// Panics on a vector/map dimension mismatch or a foreign `start` id.
 pub fn match_heuristic(map: &FaceMap, v: &SamplingVector, start: FaceId) -> MatchOutcome {
-    assert_eq!(
-        v.len(),
-        map.pair_dimension(),
-        "vector/map pair-dimension mismatch"
-    );
+    match_heuristic_packed(map, &PackedQuery::new(v), start)
+}
+
+/// [`match_heuristic`] on a query already packed.
+///
+/// # Panics
+///
+/// Panics on a query/map dimension mismatch or a foreign `start` id.
+pub(crate) fn match_heuristic_packed(
+    map: &FaceMap,
+    q: &PackedQuery,
+    start: FaceId,
+) -> MatchOutcome {
+    assert_dimension(map, q);
     assert!(start.index() < map.face_count(), "start face not in map");
 
     /// Plateau faces expanded without a strict improvement before giving
@@ -410,11 +474,17 @@ pub fn match_heuristic(map: &FaceMap, v: &SamplingVector, start: FaceId) -> Matc
     const PLATEAU_BUDGET: usize = 64;
 
     let planes = map.planes();
-    let q = PackedQuery::new(v);
 
-    let mut visited = vec![false; map.face_count()];
-    visited[start.index()] = true;
-    let mut best_d2 = planes.distance_squared(start.index(), &q);
+    let mut scratch = CLIMB_SCRATCH.with(Cell::take);
+    scratch.begin(map.face_count());
+    let ClimbScratch {
+        stamps,
+        epoch,
+        frontier,
+    } = &mut scratch;
+    let mut visit = |f: FaceId| std::mem::replace(&mut stamps[f.index()], *epoch) != *epoch;
+    visit(start);
+    let mut best_d2 = planes.distance_squared(start.index(), q);
     let mut best_face = start;
     let mut best_ties = vec![start];
     let mut evaluated = 1;
@@ -425,7 +495,7 @@ pub fn match_heuristic(map: &FaceMap, v: &SamplingVector, start: FaceId) -> Matc
         telemetry::journal_enabled().then(|| vec![start.index() as u32]);
 
     // Frontier of faces at the current best distance, pending expansion.
-    let mut frontier = std::collections::VecDeque::from([start]);
+    frontier.push_back(start);
     let mut since_improvement = 0usize;
     let mut plateau_expansions = 0u64;
 
@@ -436,11 +506,10 @@ pub fn match_heuristic(map: &FaceMap, v: &SamplingVector, start: FaceId) -> Matc
         since_improvement += 1;
         plateau_expansions += 1;
         for &nb in map.neighbors(face) {
-            if visited[nb.index()] {
+            if !visit(nb) {
                 continue;
             }
-            visited[nb.index()] = true;
-            let d2 = planes.distance_squared(nb.index(), &q);
+            let d2 = planes.distance_squared(nb.index(), q);
             evaluated += 1;
             if d2 < best_d2 {
                 // Strict ascent: restart the plateau walk from here.
@@ -461,6 +530,8 @@ pub fn match_heuristic(map: &FaceMap, v: &SamplingVector, start: FaceId) -> Matc
             }
         }
     }
+
+    CLIMB_SCRATCH.with(|c| c.set(scratch));
 
     if telemetry::enabled() {
         telemetry::counter_add("fttt.match.heuristic.calls", 1);

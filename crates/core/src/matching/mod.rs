@@ -16,3 +16,4 @@
 mod algorithms;
 
 pub use algorithms::{match_exhaustive, match_heuristic, match_indexed, MatchOutcome};
+pub(crate) use algorithms::{match_heuristic_packed, match_indexed_packed};

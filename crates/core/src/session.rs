@@ -31,9 +31,12 @@
 
 use crate::error::ErrorStats;
 use crate::facemap::{FaceId, FaceMap, RepairMode, RepairReport};
+use crate::sampling::ROUND_BUILDER;
 use crate::theory::required_sampling_times;
 use crate::tracker::Tracker;
+use crate::vector::PackedQuery;
 use rand::Rng;
+use std::cell::Cell;
 use std::sync::Arc;
 use wsn_geometry::Point;
 use wsn_mobility::Trace;
@@ -229,10 +232,6 @@ impl SessionRun {
     }
 }
 
-/// Rolling window of recent finite similarities for the health monitor
-/// (matches the tracker's internal window length).
-const HEALTH_WINDOW: usize = 8;
-
 /// A self-healing tracking session wrapping a [`Tracker`].
 #[derive(Debug, Clone)]
 pub struct TrackingSession {
@@ -246,7 +245,6 @@ pub struct TrackingSession {
     last_trusted: Option<(f64, Point)>,
     /// Last reported estimate (trusted or not) — the hold value.
     last_reported: Option<Point>,
-    recent_sims: std::collections::VecDeque<f64>,
     /// Escalation ladder: force exhaustive re-acquisition next round.
     force_reacquire: bool,
     /// Lifetime round counter, indexing [`RoundTrace::round`].
@@ -292,7 +290,6 @@ impl TrackingSession {
             healthy_streak: 0,
             last_trusted: None,
             last_reported: None,
-            recent_sims: std::collections::VecDeque::new(),
             force_reacquire: false,
             round_index: 0,
             session_id: NEXT_SESSION_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -347,23 +344,32 @@ impl TrackingSession {
     /// `group` should have been sampled with [`requested_samples`]
     /// columns of `k` readings, but any grouping is accepted — the monitor
     /// judges what arrived, not what was asked for. The round runs
-    /// Algorithm 1 once: the health checks and the match share one
-    /// sampling vector.
+    /// Algorithm 1 once, straight into a packed query in this thread's
+    /// reused buffers: the health checks and the match share it.
     ///
     /// [`requested_samples`]: TrackingSession::requested_samples
     pub fn step(&mut self, t: f64, group: &GroupSampling) -> SessionRound {
+        let mut builder = ROUND_BUILDER.with(Cell::take);
+        let q = self.tracker.build_query(&mut builder, group);
+        let round = self.step_query(t, group, q);
+        ROUND_BUILDER.with(|slot| slot.set(builder));
+        round
+    }
+
+    /// [`TrackingSession::step`] on the round's query `q`, built from
+    /// `group`.
+    fn step_query(&mut self, t: f64, group: &GroupSampling, q: &PackedQuery) -> SessionRound {
         let status_before = self.status;
         let samples_requested = self.samples;
         let round_index = self.round_index;
         self.round_index += 1;
-        let v = self.tracker.sampling_vector(group);
-        let unknown = v.unknown_count();
-        let missing_fraction = unknown as f64 / v.len() as f64;
-        let known = v.len() - unknown;
+        let unknown = q.unknown_count();
+        let missing_fraction = unknown as f64 / q.dim() as f64;
+        let known = q.dim() - unknown;
         let zero_fraction = if known == 0 {
             0.0
         } else {
-            v.components().iter().filter(|c| **c == Some(0.0)).count() as f64 / known as f64
+            q.zero_count() as f64 / known as f64
         };
         let blackout = known == 0;
 
@@ -399,25 +405,29 @@ impl TrackingSession {
             return round;
         }
 
+        // The relative-similarity check reads the tracker's window of
+        // recent similarities as it stands before this round's match
+        // records into it: the tracker records every matched round's
+        // similarity and clears whenever the session restarts its
+        // monitor, so one window serves both.
+        let median = self.tracker.similarity_median();
         let reacquired = self.force_reacquire;
         let (estimate, outcome) = if reacquired {
             self.force_reacquire = false;
-            self.tracker.reacquire(&v)
+            self.tracker.reacquire(q)
         } else {
-            self.tracker.localize(&v)
+            self.tracker.localize(q)
         };
 
         // Health checks.
-        let stranded = self
-            .rolling_median()
-            .is_some_and(|median| outcome.similarity < self.options.reacquire_ratio * median);
+        let stranded =
+            median.is_some_and(|median| outcome.similarity < self.options.reacquire_ratio * median);
         let starved = missing_fraction > self.options.max_missing_fraction;
         let teleported = self.options.max_speed.is_finite()
             && self.last_trusted.is_some_and(|(t0, p0)| {
                 let dt = (t - t0).max(0.0);
                 estimate.distance(p0) > self.options.max_speed * dt + self.options.jump_slack
             });
-        self.record_sim(outcome.similarity);
 
         let healthy = !(stranded || starved || teleported);
         if healthy {
@@ -563,7 +573,6 @@ impl TrackingSession {
     /// session's current map.
     pub fn adopt_repair(&mut self, t: f64, map: Arc<FaceMap>, report: &RepairReport) {
         let face_remapped = !self.tracker.adopt_repair(map, report);
-        self.recent_sims.clear();
         if face_remapped {
             self.force_reacquire = true;
         }
@@ -614,24 +623,6 @@ impl TrackingSession {
             })
     }
 
-    fn rolling_median(&self) -> Option<f64> {
-        if self.recent_sims.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.recent_sims.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite similarities"));
-        Some(sorted[sorted.len() / 2])
-    }
-
-    fn record_sim(&mut self, s: f64) {
-        if s.is_finite() {
-            if self.recent_sims.len() == HEALTH_WINDOW {
-                self.recent_sims.pop_front();
-            }
-            self.recent_sims.push_back(s);
-        }
-    }
-
     fn record_healthy(&mut self) {
         self.unhealthy_streak = 0;
         self.healthy_streak += 1;
@@ -653,7 +644,6 @@ impl TrackingSession {
                 // Ladder rung 3: give up the warm start and the similarity
                 // history — both are poisoned by whatever went wrong.
                 self.tracker.reset();
-                self.recent_sims.clear();
             }
             self.status = TrackStatus::Lost;
         } else if self.status == TrackStatus::Tracking {

@@ -3,10 +3,11 @@
 
 use crate::error::ErrorStats;
 use crate::facemap::{FaceId, FaceMap, RepairReport};
-use crate::matching::{match_heuristic, match_indexed, MatchOutcome};
-use crate::sampling::{basic_sampling_vector, extended_sampling_vector};
-use crate::vector::SamplingVector;
+use crate::matching::{match_heuristic_packed, match_indexed_packed, MatchOutcome};
+use crate::sampling::{QueryBuilder, ROUND_BUILDER};
+use crate::vector::PackedQuery;
 use rand::Rng;
+use std::cell::Cell;
 use std::sync::Arc;
 use wsn_geometry::Point;
 use wsn_mobility::Trace;
@@ -98,6 +99,47 @@ pub const DEFAULT_REACQUIRE_RATIO: f64 = 0.5;
 /// short enough to track regime changes within a few seconds).
 const SIMILARITY_WINDOW: usize = 8;
 
+/// The last [`SIMILARITY_WINDOW`] finite similarities, behind the
+/// relative re-acquisition checks of both the tracker and the session: a
+/// fixed ring, so recording and taking the median allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct SimilarityWindow {
+    recent: [f64; SIMILARITY_WINDOW],
+    len: usize,
+    next: usize,
+}
+
+impl SimilarityWindow {
+    /// Records `s`, evicting the oldest entry once full. Exact matches
+    /// (infinite similarity) would poison any relative threshold, so the
+    /// window tracks only the finite noise floor.
+    fn record(&mut self, s: f64) {
+        if s.is_finite() {
+            self.recent[self.next] = s;
+            self.next = (self.next + 1) % SIMILARITY_WINDOW;
+            self.len = (self.len + 1).min(SIMILARITY_WINDOW);
+        }
+    }
+
+    /// Forgets every entry.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.next = 0;
+    }
+
+    /// The median of the window (the upper one, `sorted[len / 2]`, on an
+    /// even count), `None` before the first finite similarity.
+    fn median(&self) -> Option<f64> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut sorted = self.recent;
+        let sorted = &mut sorted[..self.len];
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite similarities"));
+        Some(sorted[self.len / 2])
+    }
+}
+
 /// One localization along a tracking run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Localization {
@@ -159,7 +201,7 @@ pub struct Tracker {
     map: Arc<FaceMap>,
     options: TrackerOptions,
     previous: Option<FaceId>,
-    recent_sims: std::collections::VecDeque<f64>,
+    recent_sims: SimilarityWindow,
 }
 
 impl Tracker {
@@ -175,7 +217,7 @@ impl Tracker {
             map,
             options,
             previous: None,
-            recent_sims: std::collections::VecDeque::new(),
+            recent_sims: SimilarityWindow::default(),
         }
     }
 
@@ -195,43 +237,42 @@ impl Tracker {
         self.recent_sims.clear();
     }
 
-    /// Rolling median of the recent finite similarities, `None` before the
-    /// first finite match.
-    fn rolling_median_similarity(&self) -> Option<f64> {
-        if self.recent_sims.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.recent_sims.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite similarities"));
-        Some(sorted[sorted.len() / 2])
+    /// The rolling median of the recent finite similarities, `None`
+    /// before the first finite match or right after a [`Tracker::reset`]
+    /// or [`Tracker::adopt_repair`]. The session's health check reads it.
+    pub(crate) fn similarity_median(&self) -> Option<f64> {
+        self.recent_sims.median()
     }
 
-    fn record_similarity(&mut self, s: f64) {
-        // Exact matches (infinite similarity) would poison any relative
-        // threshold; the window tracks only the finite noise floor.
-        if s.is_finite() {
-            if self.recent_sims.len() == SIMILARITY_WINDOW {
-                self.recent_sims.pop_front();
-            }
-            self.recent_sims.push_back(s);
-        }
+    /// Builds into `builder` the round's packed query (see
+    /// [`Tracker::query`]); the session passes its thread's buffers.
+    pub(crate) fn build_query<'b>(
+        &self,
+        builder: &'b mut QueryBuilder,
+        group: &GroupSampling,
+    ) -> &'b PackedQuery {
+        builder.build(
+            group,
+            self.map.query_columns(group.node_count()),
+            self.options.extended,
+        )
     }
 
-    /// Builds the sampling vector this tracker's options call for,
-    /// projected onto the map's live pair set — after churn the grouping
-    /// still reports all deployment pairs, but only planes of live pairs
-    /// partition the field, so dead pairs' components must not vote.
+    /// The packed query this tracker's options call for (basic or
+    /// extended), over the map's live pairs — after churn the grouping
+    /// still reports every deployment node, but only planes of live pairs
+    /// partition the field, so dead pairs must not vote.
     ///
-    /// This is the round's one Algorithm-1 pass: callers build the vector
+    /// This is the round's one Algorithm-1 pass: callers build the query
     /// once and hand it to [`Tracker::localize`] or [`Tracker::reacquire`]
-    /// (and to any health checks of their own).
-    pub fn sampling_vector(&self, group: &GroupSampling) -> SamplingVector {
-        let v = if self.options.extended {
-            extended_sampling_vector(group)
-        } else {
-            basic_sampling_vector(group)
-        };
-        self.map.project_sampling_vector(v)
+    /// (and to any health checks of their own). It allocates fresh
+    /// buffers; [`TrackingSession::step`] reuses its thread's instead.
+    ///
+    /// [`TrackingSession::step`]: crate::session::TrackingSession::step
+    pub fn query(&self, group: &GroupSampling) -> PackedQuery {
+        let mut builder = QueryBuilder::new();
+        self.build_query(&mut builder, group);
+        builder.into_query()
     }
 
     /// Switches the tracker to `map`, the result of repairing its current
@@ -269,18 +310,19 @@ impl Tracker {
         warm_exact
     }
 
-    /// Localizes one round from its sampling vector `v`, as built by
-    /// [`Tracker::sampling_vector`] — the caller builds it once per round.
+    /// Localizes one round from its query `q`, as built by
+    /// [`Tracker::query`] — the caller builds it once per round.
     /// Returns the estimate and the raw match outcome, and updates the
     /// warm-start state.
-    pub fn localize(&mut self, v: &SamplingVector) -> (Point, MatchOutcome) {
+    pub fn localize(&mut self, q: &PackedQuery) -> (Point, MatchOutcome) {
         let outcome = match self.options.matching {
-            Matching::Exhaustive => match_indexed(&self.map, v),
+            Matching::Exhaustive => match_indexed_packed(&self.map, q),
             Matching::Heuristic { reacquire_ratio } => {
                 let start = self.previous.unwrap_or_else(|| self.map.center_face());
-                let out = match_heuristic(&self.map, v, start);
+                let out = match_heuristic_packed(&self.map, q, start);
                 let stranded = reacquire_ratio.is_some_and(|r| {
-                    self.rolling_median_similarity()
+                    self.recent_sims
+                        .median()
                         .is_some_and(|median| out.similarity < r * median)
                 });
                 if stranded {
@@ -294,7 +336,7 @@ impl Tracker {
                             ],
                         );
                     }
-                    let mut ex = match_indexed(&self.map, v);
+                    let mut ex = match_indexed_packed(&self.map, q);
                     ex.evaluated += out.evaluated;
                     ex
                 } else {
@@ -302,21 +344,21 @@ impl Tracker {
                 }
             }
         };
-        self.record_similarity(outcome.similarity);
+        self.recent_sims.record(outcome.similarity);
         self.previous = Some(outcome.face);
         let estimate = self.resolve_estimate(&outcome);
         (estimate, outcome)
     }
 
-    /// Localizes one round from its sampling vector `v` (built once by the
-    /// caller with [`Tracker::sampling_vector`]) with a forced
+    /// Localizes one round from its query `q` (built once by the caller
+    /// with [`Tracker::query`]) with a forced
     /// full-accuracy (indexed) match, regardless of the configured
     /// matching mode, and rebases the warm start on the result. The
     /// session layer's recovery ladder uses this when the heuristic climb
     /// is suspected of being stranded.
-    pub fn reacquire(&mut self, v: &SamplingVector) -> (Point, MatchOutcome) {
-        let outcome = match_indexed(&self.map, v);
-        self.record_similarity(outcome.similarity);
+    pub fn reacquire(&mut self, q: &PackedQuery) -> (Point, MatchOutcome) {
+        let outcome = match_indexed_packed(&self.map, q);
+        self.recent_sims.record(outcome.similarity);
         self.previous = Some(outcome.face);
         let estimate = self.resolve_estimate(&outcome);
         (estimate, outcome)
@@ -351,9 +393,10 @@ impl Tracker {
         F: FnMut(GroupSampling, &mut R) -> GroupSampling,
     {
         let mut localizations = Vec::with_capacity(trace.len());
+        let mut builder = ROUND_BUILDER.with(Cell::take);
         for p in trace.points() {
             let group = transform(sampler.sample(field, p.pos, rng), rng);
-            let (estimate, outcome) = self.localize(&self.sampling_vector(&group));
+            let (estimate, outcome) = self.localize(self.build_query(&mut builder, &group));
             localizations.push(Localization {
                 t: p.t,
                 truth: p.pos,
@@ -364,6 +407,7 @@ impl Tracker {
                 evaluated: outcome.evaluated,
             });
         }
+        ROUND_BUILDER.with(|slot| slot.set(builder));
         TrackingRun { localizations }
     }
 
@@ -411,6 +455,43 @@ mod tests {
     fn straight_trace() -> Trace {
         WaypointPath::new(vec![Point::new(20.0, 50.0), Point::new(80.0, 50.0)])
             .walk_constant(3.0, 1.0)
+    }
+
+    /// The fixed ring gives the same median bits as the sorted copy of a
+    /// FIFO deque it replaced, through evictions, repeats, infinities
+    /// (never recorded) and clears.
+    #[test]
+    fn similarity_window_matches_a_sorted_fifo() {
+        let mut window = SimilarityWindow::default();
+        let mut fifo = std::collections::VecDeque::new();
+        let mut x = 0.37f64;
+        for i in 0..300 {
+            x = (x * 3.7 + 0.11) % 1.0;
+            let s = match i % 11 {
+                0 => f64::INFINITY,
+                1 | 2 => 0.25,
+                _ => 0.5 + x,
+            };
+            window.record(s);
+            if s.is_finite() {
+                if fifo.len() == SIMILARITY_WINDOW {
+                    fifo.pop_front();
+                }
+                fifo.push_back(s);
+            }
+            let mut sorted: Vec<f64> = fifo.iter().copied().collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let reference = sorted.get(sorted.len() / 2).copied();
+            assert_eq!(
+                window.median().map(f64::to_bits),
+                reference.map(f64::to_bits),
+                "round {i}"
+            );
+            if i % 97 == 96 {
+                window.clear();
+                fifo.clear();
+            }
+        }
     }
 
     #[test]
@@ -503,7 +584,7 @@ mod tests {
         let mut tracker = Tracker::new(map, TrackerOptions::heuristic());
         assert!(tracker.previous.is_none());
         let group = sampler.sample(&field, Point::new(50.0, 50.0), &mut rng(6));
-        let _ = tracker.localize(&tracker.sampling_vector(&group));
+        let _ = tracker.localize(&tracker.query(&group));
         assert!(tracker.previous.is_some());
         tracker.reset();
         assert!(tracker.previous.is_none());
@@ -550,7 +631,7 @@ mod tests {
         assert!(!a.map().is_node_live(3));
         assert!(b.map().is_node_live(3));
         let group = sampler.sample(&field, Point::new(50.0, 50.0), &mut rng(9));
-        let (estimate, _) = b.localize(&b.sampling_vector(&group));
+        let (estimate, _) = b.localize(&b.query(&group));
         assert!(estimate.x.is_finite() && estimate.y.is_finite());
     }
 

@@ -31,6 +31,7 @@ mod signature;
 mod simd;
 mod similarity;
 
+pub(crate) use planes::{component_terms, QueryParts};
 pub use planes::{words_for, PackedQuery, SignaturePlanes};
 pub use sampling_vec::SamplingVector;
 pub use signature::SignatureVector;

@@ -547,7 +547,7 @@ impl SignaturePlanes {
     #[inline]
     fn slot_distance(&self, s: usize, query: &PackedQuery) -> f64 {
         let (gp, gm) = self.slot_planes(s);
-        match &query.kind {
+        match query.kind() {
             QueryKind::Ternary {
                 plus,
                 minus,
@@ -768,7 +768,7 @@ impl SignaturePlanes {
 
     /// The envelope bound kernel shared by both index levels.
     fn envelope_bound(env: simd::ChunkEnvelope<'_>, query: &PackedQuery) -> f64 {
-        match &query.kind {
+        match query.kind() {
             QueryKind::Ternary {
                 plus,
                 minus,
@@ -853,7 +853,7 @@ impl SignaturePlanes {
             minus,
             present,
             active,
-        } = &query.kind
+        } = query.kind()
         else {
             let d = self.slot_distance(s, query);
             return (d <= cutoff).then_some(d);
@@ -869,36 +869,79 @@ impl SignaturePlanes {
     }
 }
 
-/// A sampling vector pre-packed for the plane kernels.
+/// A round's sampling vector packed for the plane kernels.
 ///
-/// Basic (ternary) vectors become three bit-masks (`plus`/`minus`/
-/// `present`); extended vectors become a per-pair table of the three
+/// Basic (ternary) queries are three bit-masks (`plus`/`minus`/
+/// `present`); extended queries are a per-pair table of the three
 /// squared terms a face component can select. Build once per
 /// localization, reuse across every face.
-#[derive(Debug, Clone)]
+///
+/// Algorithm 1 writes a query directly ([`QueryBuilder`]), reusing its
+/// buffers from round to round; [`PackedQuery::new`] packs an
+/// already-built [`SamplingVector`] and is the reference the builder is
+/// tested against. Both choose the same form: ternary exactly when every
+/// known component is `−1`, `0` or `+1`.
+///
+/// [`QueryBuilder`]: crate::sampling::QueryBuilder
+#[derive(Debug, Clone, Default)]
 pub struct PackedQuery {
     dim: usize,
-    kind: QueryKind,
-}
-
-#[derive(Debug, Clone)]
-enum QueryKind {
-    Ternary {
-        plus: Vec<u64>,
-        minus: Vec<u64>,
-        present: Vec<u64>,
-        /// Indices of the words with any present pair, kept only when the
-        /// query is sparse enough (≤ ¼ of the words nonzero) that gathered
-        /// scalar loops beat the dense SIMD sweep. Since `plus`/`minus` ⊆
-        /// `present` and every distance/bound term is masked by a query
-        /// plane, restricting any kernel to these words is exact.
-        active: Option<Vec<u32>>,
-    },
+    extended: bool,
+    /// Bit `i` set where component `i` is `+1` / `−1` / known. Only
+    /// meaningful in the ternary form.
+    plus: Vec<u64>,
+    minus: Vec<u64>,
+    present: Vec<u64>,
+    /// Indices of the words with any present pair, used only when the
+    /// query is sparse enough (`sparse`: ≤ ¼ of the words nonzero) that
+    /// gathered scalar loops beat the dense SIMD sweep. Since
+    /// `plus`/`minus` ⊆ `present` and every distance/bound term is masked
+    /// by a query plane, restricting any kernel to these words is exact.
+    active: Vec<u32>,
+    sparse: bool,
     /// Per pair, the squared term `((v − c)·k)²` for a face component
     /// `c = −1, 0, +1`, where `v` is the query value (0 for `*`) and `k`
     /// its `{0.0, 1.0}` presence: the exact f64 the scalar reference adds
-    /// for that pair, so a face's distance is a sum of lookups.
-    Extended { terms: Vec<[f64; 3]> },
+    /// for that pair, so a face's distance is a sum of lookups. Only
+    /// meaningful in the extended form.
+    terms: Vec<[f64; 3]>,
+    /// Components that are `*`.
+    unknown: usize,
+    /// Known components that are exactly `0`.
+    zeros: usize,
+}
+
+/// A reset query's buffers, for a writer in another module: the three
+/// planes (zeroed) and the extended terms (empty).
+pub(crate) struct QueryParts<'a> {
+    pub(crate) plus: &'a mut [u64],
+    pub(crate) minus: &'a mut [u64],
+    pub(crate) present: &'a mut [u64],
+    pub(crate) terms: &'a mut Vec<[f64; 3]>,
+}
+
+/// The kernels' view of a query's form.
+enum QueryKind<'a> {
+    Ternary {
+        plus: &'a [u64],
+        minus: &'a [u64],
+        present: &'a [u64],
+        active: Option<&'a [u32]>,
+    },
+    Extended {
+        terms: &'a [[f64; 3]],
+    },
+}
+
+/// The extended-form terms of one component: `((v − c)·k)²` for
+/// `c = −1, 0, +1`, with `v = 0`, `k = 0` for `*`.
+#[inline]
+pub(crate) fn component_terms(c: Option<f64>) -> [f64; 3] {
+    let (v, k) = (c.unwrap_or(0.0), if c.is_some() { 1.0 } else { 0.0 });
+    [-1.0, 0.0, 1.0].map(|g: f64| {
+        let d = (v - g) * k;
+        d * d
+    })
 }
 
 impl PackedQuery {
@@ -906,11 +949,15 @@ impl PackedQuery {
     /// every known component is in `{−1, 0, +1}` and the flat extended
     /// form otherwise.
     pub fn new(v: &SamplingVector) -> Self {
+        let mut q = Self::default();
         let dim = v.len();
         if v.is_ternary() {
-            let words = words_for(dim);
-            let (mut plus, mut minus, mut present) =
-                (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
+            let QueryParts {
+                plus,
+                minus,
+                present,
+                ..
+            } = q.reset(dim);
             for (i, c) in v.components().iter().enumerate() {
                 if let Some(c) = c {
                     let (w, b) = (i / 64, i % 64);
@@ -919,40 +966,80 @@ impl PackedQuery {
                     minus[w] |= u64::from(*c == -1.0) << b;
                 }
             }
-            // Real sampling vectors hear one small node group, so most
-            // words carry no present pair at all; record the nonzero ones
-            // when they are rare enough for gathers to win.
-            let nonzero: Vec<u32> = present
+            q.finish_ternary();
+        } else {
+            let QueryParts { terms, .. } = q.reset(dim);
+            terms.extend(v.components().iter().map(|&c| component_terms(c)));
+            let zeros = v.components().iter().filter(|c| **c == Some(0.0)).count();
+            q.finish_extended(v.unknown_count(), zeros);
+        }
+        q
+    }
+
+    /// Resets to a ternary query of `dim` pairs with every plane bit
+    /// clear and no extended terms, reusing the buffers, and hands them
+    /// out for writing.
+    pub(crate) fn reset(&mut self, dim: usize) -> QueryParts<'_> {
+        let words = words_for(dim);
+        self.dim = dim;
+        self.extended = false;
+        for plane in [&mut self.plus, &mut self.minus, &mut self.present] {
+            plane.clear();
+            plane.resize(words, 0);
+        }
+        self.terms.clear();
+        QueryParts {
+            plus: &mut self.plus,
+            minus: &mut self.minus,
+            present: &mut self.present,
+            terms: &mut self.terms,
+        }
+    }
+
+    /// Completes a ternary query whose planes are written: the sparse
+    /// word list and the `*` and zero counts.
+    pub(crate) fn finish_ternary(&mut self) {
+        // Real sampling vectors hear one small node group, so most words
+        // carry no present pair at all; record the nonzero ones when they
+        // are rare enough for gathers to win.
+        self.active.clear();
+        self.active.extend(
+            self.present
                 .iter()
                 .enumerate()
                 .filter(|(_, &w)| w != 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            let active = (nonzero.len() * 4 <= words).then_some(nonzero);
-            Self {
-                dim,
-                kind: QueryKind::Ternary {
-                    plus,
-                    minus,
-                    present,
-                    active,
-                },
-            }
+                .map(|(i, _)| i as u32),
+        );
+        self.sparse = self.active.len() * 4 <= self.present.len();
+        let (mut known, mut zeros) = (0, 0);
+        for ((p, m), q) in self.plus.iter().zip(&self.minus).zip(&self.present) {
+            known += q.count_ones() as usize;
+            zeros += (q & !p & !m).count_ones() as usize;
+        }
+        self.unknown = self.dim - known;
+        self.zeros = zeros;
+    }
+
+    /// Completes an extended query whose `terms` the writer filled, one
+    /// entry per pair, with its `*` and zero counts.
+    pub(crate) fn finish_extended(&mut self, unknown: usize, zeros: usize) {
+        debug_assert_eq!(self.terms.len(), self.dim, "one term row per pair");
+        self.extended = true;
+        self.unknown = unknown;
+        self.zeros = zeros;
+    }
+
+    /// The form the kernels dispatch on.
+    #[inline]
+    fn kind(&self) -> QueryKind<'_> {
+        if self.extended {
+            QueryKind::Extended { terms: &self.terms }
         } else {
-            let terms = v
-                .components()
-                .iter()
-                .map(|c| {
-                    let (v, k) = (c.unwrap_or(0.0), if c.is_some() { 1.0 } else { 0.0 });
-                    [-1.0, 0.0, 1.0].map(|g: f64| {
-                        let d = (v - g) * k;
-                        d * d
-                    })
-                })
-                .collect();
-            Self {
-                dim,
-                kind: QueryKind::Extended { terms },
+            QueryKind::Ternary {
+                plus: &self.plus,
+                minus: &self.minus,
+                present: &self.present,
+                active: self.sparse.then_some(&self.active[..]),
             }
         }
     }
@@ -965,7 +1052,31 @@ impl PackedQuery {
 
     /// `true` when the query took the ternary bit-mask fast path.
     pub fn is_packed_ternary(&self) -> bool {
-        matches!(self.kind, QueryKind::Ternary { .. })
+        !self.extended
+    }
+
+    /// The `(plus, minus, present)` planes of a ternary query, `None` for
+    /// an extended one.
+    pub fn ternary_planes(&self) -> Option<(&[u64], &[u64], &[u64])> {
+        (!self.extended).then_some((&self.plus[..], &self.minus[..], &self.present[..]))
+    }
+
+    /// The per-pair `[c = −1, 0, +1]` terms of an extended query, `None`
+    /// for a ternary one.
+    pub fn extended_terms(&self) -> Option<&[[f64; 3]]> {
+        self.extended.then_some(&self.terms[..])
+    }
+
+    /// Number of `*` components (pairs with no information at all).
+    #[inline]
+    pub fn unknown_count(&self) -> usize {
+        self.unknown
+    }
+
+    /// Number of known components that are exactly `0`.
+    #[inline]
+    pub fn zero_count(&self) -> usize {
+        self.zeros
     }
 }
 

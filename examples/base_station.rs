@@ -65,7 +65,7 @@ fn main() {
             sent += sensed.responding().iter().filter(|&&b| b).count();
             let (received, latencies) = uplink.deliver(&sensed, &mut world);
             delivered += latencies.iter().flatten().count();
-            let (estimate, _) = tracker.localize(&tracker.sampling_vector(&received));
+            let (estimate, _) = tracker.localize(&tracker.query(&received));
             errors.push(estimate.distance(p.pos));
         }
         ledger.charge_idle(trace.duration());

@@ -50,7 +50,7 @@ fn total_blackout_still_localizes_gracefully() {
     let v = basic_sampling_vector(&group);
     assert_eq!(v.unknown_count(), v.len(), "every pair must be '*'");
     let mut tracker = Tracker::new(map, TrackerOptions::default());
-    let (estimate, outcome) = tracker.localize(&tracker.sampling_vector(&group));
+    let (estimate, outcome) = tracker.localize(&tracker.query(&group));
     assert!(p.rect().contains(estimate));
     // All faces tie; tie-averaging pulls the estimate toward the field's
     // centre of mass.

@@ -34,7 +34,7 @@ fn lossy_uplink_degrades_gracefully() {
         for pt in trace.points() {
             let sensed = sampler.sample(&field, pt.pos, &mut world);
             let (received, _) = uplink.deliver(&sensed, &mut world);
-            let (estimate, _) = tracker.localize(&tracker.sampling_vector(&received));
+            let (estimate, _) = tracker.localize(&tracker.query(&received));
             total += estimate.distance(pt.pos);
             count += 1;
         }
