@@ -9,7 +9,7 @@ use wsn_geometry::{Point, Rect};
 use wsn_mobility::Trace;
 use wsn_network::{GroupSampler, GroupSampling, SensorField};
 
-/// The Direct-MLE tracker (paper ref. [24]'s sequence localization used as
+/// The Direct-MLE tracker (paper ref. \[24\]'s sequence localization used as
 /// a tracking baseline): perpendicular-bisector face division (`C = 1`),
 /// one-shot detection sequences, exhaustive maximum-likelihood matching,
 /// no temporal state.

@@ -1,5 +1,5 @@
 //! An extended Kalman filter tracker: the classic recursive model-based
-//! comparator (paper ref. [18]).
+//! comparator (paper ref. \[18\]).
 //!
 //! * **State** `x = [pₓ, p_y, vₓ, v_y]`, constant-velocity process with
 //!   white-acceleration noise.

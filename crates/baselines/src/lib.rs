@@ -2,12 +2,12 @@
 //!
 //! * [`DirectMle`] — "Direct maximum likelihood estimation" tracking in the
 //!   style of sequence-based localization (Yedavalli & Krishnamachari,
-//!   paper ref. [24]): the field is divided by perpendicular **bisectors**
+//!   paper ref. \[24\]): the field is divided by perpendicular **bisectors**
 //!   (no uncertain areas — the `C = 1` degenerate division), each
 //!   localization takes a **one-shot** detection sequence and matches it to
 //!   the most similar face. No temporal state.
 //! * [`PathMatching`] — "optimal path matching with MLE" in the style of
-//!   Zhong et al. (paper ref. [22]): same certain-face division and
+//!   Zhong et al. (paper ref. \[22\]): same certain-face division and
 //!   one-shot sequences, but localizations are chained by a
 //!   **maximum-velocity constraint** — the tracker keeps a beam of path
 //!   hypotheses and extends each only to faces reachable within `v_max·Δt`,

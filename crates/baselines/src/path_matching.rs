@@ -9,7 +9,7 @@ use wsn_geometry::{Point, Rect};
 use wsn_mobility::Trace;
 use wsn_network::{GroupSampler, GroupSampling, SensorField};
 
-/// The PM tracker (paper ref. [22]'s optimal path matching, reproduced as
+/// The PM tracker (paper ref. \[22\]'s optimal path matching, reproduced as
 /// an online beam Viterbi):
 ///
 /// * certain-face division (`C = 1` bisectors) and one-shot sequences,

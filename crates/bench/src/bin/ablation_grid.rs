@@ -3,7 +3,7 @@
 //!
 //! Finer cells shrink the intra-face error but inflate the offline build.
 //! This sweep exposes the trade-off the paper's adaptive-division follow-up
-//! work ([29]) optimizes.
+//! work (\[29\]) optimizes.
 
 use fttt::PaperParams;
 use fttt_bench::{trial_stats, Cli, MethodKind, Scenario, Table};

@@ -19,20 +19,6 @@ pub struct Cli {
     /// Baseline artifact to gate the run against instead of writing a new
     /// one (see [`crate::gate`]).
     pub check: Option<std::path::PathBuf>,
-    /// Shard count for the multi-process campaign runner (`fault_campaign`
-    /// only; 1 = single-process).
-    pub shards: usize,
-    /// When set, run only this shard's trial subset and write a shard file
-    /// instead of the merged artifact. When unset with `shards > 1`, act
-    /// as the coordinator: spawn one child per shard and merge.
-    pub shard_id: Option<usize>,
-    /// Directory for shard files (default: `<out>/shards`).
-    pub shard_dir: Option<std::path::PathBuf>,
-    /// Coordinator mode without spawning workers: merge whatever shard
-    /// files already sit in `--shard-dir` (`fault_campaign` only). Used
-    /// to re-merge a finished run and to exercise the corrupt-shard
-    /// failure paths without paying for the trials.
-    pub merge_only: bool,
     /// Golden-checksum gate: recompute the campaign checksum and compare
     /// against the committed baseline instead of writing artifacts; exit
     /// non-zero on drift.
@@ -54,10 +40,6 @@ impl Default for Cli {
             out: "results".into(),
             fast: false,
             check: None,
-            shards: 1,
-            shard_id: None,
-            shard_dir: None,
-            merge_only: false,
             check_determinism: false,
             churn: false,
             checksum_baseline: None,
@@ -100,19 +82,6 @@ impl Cli {
                 "--check" => {
                     cli.check = Some(it.next().expect("--check needs a baseline path").into());
                 }
-                "--shards" => {
-                    let v = it.next().expect("--shards needs a value");
-                    cli.shards = v.parse().expect("--shards must be a positive usize");
-                    assert!(cli.shards > 0, "--shards must be at least 1");
-                }
-                "--shard-id" => {
-                    let v = it.next().expect("--shard-id needs a value");
-                    cli.shard_id = Some(v.parse().expect("--shard-id must be a usize"));
-                }
-                "--shard-dir" => {
-                    cli.shard_dir = Some(it.next().expect("--shard-dir needs a value").into());
-                }
-                "--merge-only" => cli.merge_only = true,
                 "--check-determinism" => cli.check_determinism = true,
                 "--churn" => cli.churn = true,
                 "--checksum-baseline" => {
@@ -124,8 +93,7 @@ impl Cli {
                 }
                 other => panic!(
                     "unknown argument {other}; usage: [--seed N] [--trials N] [--out DIR] \
-                     [--fast] [--churn] [--check BASELINE.json] [--shards N [--shard-id I]] \
-                     [--shard-dir DIR] [--merge-only] [--check-determinism] \
+                     [--fast] [--churn] [--check BASELINE.json] [--check-determinism] \
                      [--checksum-baseline FILE]"
                 ),
             }
@@ -194,48 +162,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_determinism_flags_parse() {
-        let c = parse(&[
-            "--shards",
-            "4",
-            "--shard-id",
-            "2",
-            "--shard-dir",
-            "/tmp/shards",
-            "--check-determinism",
-            "--checksum-baseline",
-            "b.json",
-        ]);
-        assert_eq!(c.shards, 4);
-        assert_eq!(c.shard_id, Some(2));
-        assert_eq!(c.shard_dir, Some(std::path::PathBuf::from("/tmp/shards")));
+    fn determinism_flags_parse() {
+        let c = parse(&["--check-determinism", "--checksum-baseline", "b.json"]);
         assert!(c.check_determinism);
         assert_eq!(
             c.checksum_baseline,
             Some(std::path::PathBuf::from("b.json"))
         );
-        // Defaults stay single-process.
         let d = parse(&[]);
-        assert_eq!(d.shards, 1);
-        assert_eq!(d.shard_id, None);
         assert!(!d.check_determinism);
         assert!(!d.churn);
-        assert!(!d.merge_only);
-    }
-
-    #[test]
-    fn merge_only_flag_parses() {
-        assert!(parse(&["--shards", "2", "--merge-only"]).merge_only);
     }
 
     #[test]
     fn churn_flag_parses() {
         assert!(parse(&["--churn"]).churn);
-    }
-
-    #[test]
-    #[should_panic(expected = "--shards must be at least 1")]
-    fn zero_shards_rejected() {
-        let _ = parse(&["--shards", "0"]);
     }
 }

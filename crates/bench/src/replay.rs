@@ -244,9 +244,8 @@ fn bits_eq(a: f64, b: f64) -> bool {
 /// and trial digest against the recording.
 ///
 /// The live run executes under a private journal (any installed journal
-/// is restored afterwards), single-process — the recording may have come
-/// from any shard layout or thread count, which is exactly what the diff
-/// is meant to be invariant to.
+/// is restored afterwards) — the recording may have come from any thread
+/// count, which is exactly what the diff is meant to be invariant to.
 pub fn replay_and_diff(rec: &RecordedCampaign) -> Result<ReplayReport, String> {
     let saved = wsn_telemetry::uninstall_journal();
     // Big enough that a full campaign cannot drop round events — a lossy

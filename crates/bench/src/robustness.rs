@@ -23,15 +23,14 @@
 //!   `churn-rebuild` (full rebuild per event, the reference the
 //!   incremental path must digest-match). Every repair folds the
 //!   post-repair map epoch and face-map digest into the trial's world
-//!   digest, so churned campaigns stay bit-replayable and shard-identical
-//!   exactly like static ones; [`check_churn_digests`] asserts the
-//!   incremental and rebuild policies produced identical per-trial
-//!   digests.
+//!   digest, so churned campaigns stay bit-replayable exactly like
+//!   static ones; [`check_churn_digests`] asserts the incremental and
+//!   rebuild policies produced identical per-trial digests.
 //!
 //! [`check_envelopes`] turns those expectations into machine-checked
 //! assertions; the `fault_campaign` binary and the CLI `campaign`
-//! subcommand print the table, write `BENCH_robustness.json` and fail on
-//! any violation.
+//! subcommand print the same table ([`campaign_table`]) and verdict
+//! ([`report_violations`]) and fail on any violation.
 //!
 //! # Determinism
 //!
@@ -39,13 +38,12 @@
 //! trial `i` of every cell is seeded with `seed_for(cfg.seed, i)`, each
 //! trial folds its full per-round state (session rounds, regime state,
 //! live-node sets — see [`fttt::replay`]) into a [`TrialStat::digest`],
-//! and the trial digests fold into a campaign [`campaign_checksum`]. The
-//! per-trial records are also the unit of distribution: a shard runs the
-//! trial subset `i % shards == shard_id` of every cell, writes its
-//! [`TrialStat`]s to disk ([`render_shard_json`]), and the coordinator
-//! merges them back ([`parse_shard_json`]) — aggregation always walks the
-//! per-trial stats in `(cell, trial)` order, so single-process and merged
-//! sharded runs produce bit-identical rows and checksums.
+//! and the trial digests fold into a campaign [`campaign_checksum`].
+//! [`run_campaign_stats`] can run one slice of the trials
+//! (`i % slices == slice`); because seeds come from the global trial index
+//! and aggregation always walks the per-trial stats in `(cell, trial)`
+//! order, the slices together give bit-identical rows and checksum to
+//! the whole campaign.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -62,7 +60,9 @@ use rand_chacha::ChaCha8Rng;
 use wsn_network::{GroupSampler, Schedule, SensorField};
 use wsn_parallel::{par_map, seed_for};
 use wsn_telemetry as telemetry;
-use wsn_telemetry::json::{self, JsonValue};
+use wsn_telemetry::json;
+
+use crate::Table;
 
 /// Campaign workload parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,12 +188,6 @@ pub struct CampaignRow {
 /// The two session-wrapped trackers under test.
 const METHODS: [(&str, bool); 2] = [("FTTT-basic", false), ("FTTT-ext", true)];
 
-/// Resolves a method label back to its `(label, extended)` pair — the
-/// shard-file parser needs the `&'static str` identity.
-fn method_by_label(label: &str) -> Option<(&'static str, bool)> {
-    METHODS.iter().copied().find(|(name, _)| *name == label)
-}
-
 /// What a campaign runs: the built-in sweep + showcases, or one
 /// user-provided schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,10 +309,7 @@ fn churn_cells(base: usize) -> Vec<CellSpec> {
     cells
 }
 
-/// One completed trial: the unit the sharded runner ships between
-/// processes and the unit aggregation/checksumming walk. Everything a
-/// [`CampaignRow`] needs survives a JSON round-trip exactly — floats are
-/// written with shortest-round-trip formatting, digests as hex strings.
+/// One completed trial: the unit aggregation and checksumming walk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialStat {
     /// Cell index into [`campaign_cells`] order.
@@ -327,7 +318,7 @@ pub struct TrialStat {
     pub trial: u64,
     /// The trial's derived RNG seed (`seed_for(cfg.seed, trial)`).
     pub seed: u64,
-    /// Stable session id (deterministic across processes and threads).
+    /// Stable session id (deterministic across runs and threads).
     pub session: u64,
     /// Mean geographic error over the trial's rounds, metres.
     pub mean_error: f64,
@@ -539,12 +530,12 @@ fn trial_stat_of(
     }
 }
 
-/// The outcome of running (a shard of) a campaign.
+/// The outcome of running (a slice of) a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignStats {
     /// The campaign's cells, in order.
     pub cells: Vec<CellSpec>,
-    /// Per-trial records, sorted by `(cell, trial)`. A shard holds only
+    /// Per-trial records, sorted by `(cell, trial)`. A slice holds only
     /// its trial subset.
     pub stats: Vec<TrialStat>,
     /// Digest of the (shared, deterministic) face map.
@@ -552,9 +543,10 @@ pub struct CampaignStats {
 }
 
 /// Runs the trials of every cell whose index satisfies
-/// `trial % shards == shard_id` — `shards = 1, shard_id = 0` is the full
-/// single-process campaign. Emits the campaign header and one per-trial
-/// event into the trace journal when one is installed.
+/// `trial % shards == shard_id`: slice `shard_id` of `shards` slices;
+/// `shards = 1, shard_id = 0` is the whole campaign. Emits the campaign
+/// header and one per-trial event into the trace journal when one is
+/// installed.
 ///
 /// # Panics
 ///
@@ -709,11 +701,11 @@ fn journal_trial(cell: &CellSpec, stat: &TrialStat) {
 ///
 /// Walks the stats in `(cell, trial)` order — sorting first — so the
 /// floating-point reduction order is identical no matter how the stats
-/// were produced (one process, merged shards, any thread count).
+/// were produced (the whole campaign, joined slices, any thread count).
 ///
 /// # Panics
 ///
-/// Panics if any cell is missing trials (an incomplete shard set must not
+/// Panics if any cell is missing trials (an incomplete slice set must not
 /// silently aggregate into wrong rows).
 pub fn rows_from_stats(
     cfg: &CampaignConfig,
@@ -728,7 +720,7 @@ pub fn rows_from_stats(
         assert_eq!(
             cell_stats.len(),
             cfg.trials,
-            "cell {} ({}/{}) has {} trials, campaign wants {} — merged an incomplete shard set?",
+            "cell {} ({}/{}) has {} trials, campaign wants {} — joined an incomplete slice set?",
             cell.index,
             cell.regime,
             cell.method,
@@ -972,6 +964,62 @@ pub fn campaign_field_side(cfg: &CampaignConfig) -> f64 {
     campaign_params(cfg).field_side
 }
 
+/// The campaign rows as the table both front ends print: one line per
+/// cell, with the recovered column as `recovered/lost` trials.
+pub fn campaign_table(rows: &[CampaignRow], cfg: &CampaignConfig) -> Table {
+    let mut table = Table::new(
+        format!(
+            "Fault campaign ({} trials x {} s, {} nodes, seed {})",
+            cfg.trials, cfg.duration, cfg.nodes, cfg.seed
+        ),
+        &[
+            "regime",
+            "rate",
+            "method",
+            "mean err (m)",
+            "worst (m)",
+            "lost",
+            "degraded",
+            "recovered",
+            "mean k",
+        ],
+    );
+    for r in rows {
+        table.row(&[
+            r.regime.clone(),
+            r.fault_rate
+                .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
+            r.method.to_string(),
+            format!("{:.2}", r.mean_error),
+            format!("{:.2}", r.worst_error),
+            format!("{:.1}%", 100.0 * r.lost_fraction),
+            format!("{:.1}%", 100.0 * r.degraded_fraction),
+            format!(
+                "{}/{}",
+                (r.recovery_rate * r.trials_lost as f64).round(),
+                r.trials_lost
+            ),
+            format!("{:.2}", r.mean_samples),
+        ]);
+    }
+    table
+}
+
+/// Prints the envelope verdict: one line on stdout when every envelope
+/// holds, else the violations on stderr. Returns whether the campaign
+/// passed; both front ends exit 1 when it did not.
+pub fn report_violations(violations: &[String]) -> bool {
+    if violations.is_empty() {
+        println!("all graceful-degradation envelopes hold");
+        return true;
+    }
+    eprintln!("\n{} envelope violation(s):", violations.len());
+    for v in violations {
+        eprintln!("  - {v}");
+    }
+    false
+}
+
 /// The `BENCH_robustness.json` artifact. When a telemetry snapshot is
 /// supplied it is embedded under a `"metrics"` key so the artifact
 /// carries the campaign's instrumentation counters alongside the
@@ -1030,125 +1078,10 @@ pub fn render_json(
     })
 }
 
-/// Renders one shard's output: config echo, shard coordinates, per-trial
-/// stats and the shard's telemetry snapshot. The coordinator re-parses
-/// this with [`parse_shard_json`] and merges.
-pub fn render_shard_json(
-    cfg: &CampaignConfig,
-    shards: usize,
-    shard_id: usize,
-    stats: &[TrialStat],
-    map_digest: u64,
-    metrics: &wsn_telemetry::Snapshot,
-) -> String {
-    json::pretty(|o| {
-        o.field("bench", "fault_campaign_shard")
-            .field("shard", shard_id)
-            .field("shards", shards)
-            .object("config", |c| {
-                c.hex("seed", cfg.seed)
-                    .field("trials", cfg.trials)
-                    .field("duration_s", cfg.duration)
-                    .field("nodes", cfg.nodes);
-            })
-            .hex("map_digest", map_digest)
-            .array("trials", |a| {
-                for s in stats {
-                    a.object(|t| {
-                        t.field("cell", s.cell)
-                            .field("trial", s.trial)
-                            .hex("seed", s.seed)
-                            .field("session", s.session)
-                            .field("mean_error", s.mean_error)
-                            .field("rounds", s.rounds)
-                            .field("lost_rounds", s.lost_rounds)
-                            .field("degraded_rounds", s.degraded_rounds)
-                            .field("recovered", s.recovered)
-                            .field("total_samples", s.total_samples)
-                            .hex("digest", s.digest);
-                    });
-                }
-            })
-            .object("metrics", |m| metrics.write_json(m));
-    })
-}
-
-/// A parsed shard file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardFile {
-    /// Which shard wrote it.
-    pub shard: usize,
-    /// Out of how many.
-    pub shards: usize,
-    /// The config the shard ran (must match the coordinator's).
-    pub config: CampaignConfig,
-    /// The shard's face-map digest (must match across shards).
-    pub map_digest: u64,
-    /// The shard's per-trial records.
-    pub stats: Vec<TrialStat>,
-    /// The shard's telemetry snapshot.
-    pub metrics: wsn_telemetry::Snapshot,
-}
-
-/// Parses a [`render_shard_json`] document back.
-pub fn parse_shard_json(text: &str) -> Result<ShardFile, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("shard file: {e}"))?;
-    if doc.get("bench").and_then(JsonValue::as_str) != Some("fault_campaign_shard") {
-        return Err("shard file: not a fault_campaign_shard document".into());
-    }
-    let ctx = "shard file";
-    let cfg_doc = doc.req("config", ctx)?;
-    let config = CampaignConfig {
-        seed: cfg_doc.req_hex("seed", "shard config")?,
-        trials: cfg_doc.req_u64("trials", "shard config")? as usize,
-        duration: cfg_doc.req_f64("duration_s", "shard config")?,
-        nodes: cfg_doc.req_u64("nodes", "shard config")? as usize,
-    };
-    let map_digest = doc.req_hex("map_digest", ctx)?;
-    let trials = doc.req_array("trials", ctx)?;
-    let mut stats = Vec::with_capacity(trials.len());
-    for (i, t) in trials.iter().enumerate() {
-        let ctx = format!("shard trial {i}");
-        stats.push(TrialStat {
-            cell: t.req_u64("cell", &ctx)? as usize,
-            trial: t.req_u64("trial", &ctx)?,
-            seed: t.req_hex("seed", &ctx)?,
-            session: t.req_u64("session", &ctx)?,
-            mean_error: t.req_f64("mean_error", &ctx)?,
-            rounds: t.req_u64("rounds", &ctx)?,
-            lost_rounds: t.req_u64("lost_rounds", &ctx)?,
-            degraded_rounds: t.req_u64("degraded_rounds", &ctx)?,
-            recovered: t.req_bool("recovered", &ctx)?,
-            total_samples: t.req_u64("total_samples", &ctx)?,
-            digest: t.req_hex("digest", &ctx)?,
-        });
-    }
-    let metrics = wsn_telemetry::Snapshot::from_json_value(doc.req("metrics", ctx)?)?;
-    Ok(ShardFile {
-        shard: doc.req_u64("shard", ctx)? as usize,
-        shards: doc.req_u64("shards", ctx)? as usize,
-        config,
-        map_digest,
-        stats,
-        metrics,
-    })
-}
-
-/// Re-export: labels the shard-merge and replay paths use to resolve
-/// methods.
-pub fn method_labels() -> Vec<&'static str> {
-    METHODS.iter().map(|(label, _)| *label).collect()
-}
-
-/// Looks up whether a method label runs extended vectors (shard/replay
-/// parsers reject unknown labels).
-pub fn method_extended(label: &str) -> Option<bool> {
-    method_by_label(label).map(|(_, extended)| extended)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsn_telemetry::json::JsonValue;
 
     #[test]
     fn showcase_schedules_all_parse() {
@@ -1231,7 +1164,7 @@ mod tests {
                             .map(move |t| (cell, t))
                     })
                     .collect();
-                assert_eq!(keys, want, "shard {shard_id}/{shards}");
+                assert_eq!(keys, want, "slice {shard_id}/{shards}");
             }
         }
     }
@@ -1312,9 +1245,9 @@ mod tests {
         );
     }
 
-    /// The sharding invariant, in miniature: running the trials of every
-    /// cell split across 3 "shards" and merging must reproduce the
-    /// single-process rows bit-for-bit and the same campaign checksum.
+    /// The slicing invariant, in miniature: running the trials of every
+    /// cell split across 3 slices and joining them must reproduce the
+    /// whole campaign's rows bit-for-bit and the same campaign checksum.
     #[test]
     fn sharded_stats_merge_to_identical_rows_and_checksum() {
         let cfg = CampaignConfig {
@@ -1337,7 +1270,7 @@ mod tests {
             merged.extend(part.stats);
         }
         assert!(map_digests.iter().all(|d| *d == single.map_digest));
-        // Shards see disjoint trial subsets that union to the full set.
+        // Slices see disjoint trial subsets that union to the full set.
         assert_eq!(merged.len(), single.stats.len());
 
         let rows_single = rows_from_stats(&cfg, &single.cells, &single.stats);
@@ -1347,35 +1280,6 @@ mod tests {
             campaign_checksum(&cfg, &single.cells, single.map_digest, &single.stats),
             campaign_checksum(&cfg, &single.cells, single.map_digest, &merged),
         );
-    }
-
-    /// Shard files survive the disk round-trip exactly: stats (floats
-    /// included) and metrics parse back equal.
-    #[test]
-    fn shard_json_round_trips_exactly() {
-        let cfg = CampaignConfig {
-            seed: 11,
-            trials: 2,
-            duration: 3.0,
-            nodes: 8,
-        };
-        let kind = CampaignKind::Custom {
-            label: "rt".into(),
-            schedule: "burst enter=0.3 exit=0.3 loss_bad=0.9".into(),
-        };
-        let part = run_campaign_stats(&cfg, &kind, 2, 1);
-        let registry = wsn_telemetry::Registry::new();
-        registry.counter("wsn.regime.activations").add(3);
-        registry.gauge("fttt.session.samples_k").set(0.1 + 0.2);
-        let snap = registry.snapshot();
-        let text = render_shard_json(&cfg, 2, 1, &part.stats, part.map_digest, &snap);
-        let back = parse_shard_json(&text).unwrap();
-        assert_eq!(back.shard, 1);
-        assert_eq!(back.shards, 2);
-        assert_eq!(back.config, cfg);
-        assert_eq!(back.map_digest, part.map_digest);
-        assert_eq!(back.stats, part.stats);
-        assert_eq!(back.metrics, snap);
     }
 
     #[test]
@@ -1392,7 +1296,7 @@ mod tests {
         };
         let part = run_campaign_stats(&cfg, &kind, 2, 0);
         let result = std::panic::catch_unwind(|| rows_from_stats(&cfg, &part.cells, &part.stats));
-        assert!(result.is_err(), "one shard of two must not aggregate");
+        assert!(result.is_err(), "one slice of two must not aggregate");
     }
 
     #[test]
@@ -1460,10 +1364,15 @@ mod tests {
         let snap = registry.snapshot();
         let json = render_json(&rows, &cfg, &[], Some(&snap), Some(0xdead_beef));
         let doc = JsonValue::parse(&json).unwrap();
-        let metrics = doc.req("metrics", "test").unwrap();
+        let counters = doc
+            .req("metrics", "test")
+            .and_then(|m| m.req_object("counters", "metrics"))
+            .unwrap();
         assert_eq!(
-            wsn_telemetry::Snapshot::from_json_value(metrics).unwrap(),
-            snap
+            counters
+                .get("wsn.regime.activations")
+                .and_then(JsonValue::as_u64),
+            Some(7)
         );
         assert_eq!(doc.req_hex("checksum", "test"), Ok(0xdead_beef));
         assert_eq!(

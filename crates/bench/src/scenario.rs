@@ -17,9 +17,9 @@ pub enum MethodKind {
     FtttExtended,
     /// Basic FTTT with the heuristic matcher (Algorithm 2).
     FtttHeuristic,
-    /// Path matching with MLE under a max-velocity constraint ([22]).
+    /// Path matching with MLE under a max-velocity constraint (\[22\]).
     Pm,
-    /// Direct one-shot sequence MLE ([24]).
+    /// Direct one-shot sequence MLE (\[24\]).
     DirectMle,
     /// Weighted centroid localization (classic range-free baseline).
     Wcl,

@@ -317,8 +317,9 @@ pub fn sweep(opts: &Options) {
 /// file is rejected at parse time with the offending line.
 pub fn campaign(opts: &Options) {
     use fttt_bench::robustness::{
-        campaign_field_side, check_churn_digests, check_envelopes, rows_from_stats,
-        run_campaign_stats, run_custom_schedule, CampaignConfig, CampaignKind,
+        campaign_field_side, campaign_table, check_churn_digests, check_envelopes,
+        report_violations, rows_from_stats, run_campaign_stats, run_custom_schedule,
+        CampaignConfig, CampaignKind,
     };
     let metrics = metrics_sink(opts);
     let journal = trace_sink(opts);
@@ -358,48 +359,13 @@ pub fn campaign(opts: &Options) {
             (rows, true, churn)
         }
     };
-    let mut t = Table::new(
-        format!(
-            "fault campaign ({} trials x {:.0} s, {} nodes, seed {})",
-            cfg.trials, cfg.duration, cfg.nodes, cfg.seed
-        ),
-        &[
-            "regime",
-            "rate",
-            "method",
-            "mean (m)",
-            "worst (m)",
-            "lost",
-            "degraded",
-            "mean k",
-        ],
-    );
-    for r in &rows {
-        t.row(&[
-            r.regime.clone(),
-            r.fault_rate
-                .map_or_else(|| "-".into(), |v| format!("{v:.1}")),
-            r.method.to_string(),
-            format!("{:.2}", r.mean_error),
-            format!("{:.2}", r.worst_error),
-            format!("{:.1}%", 100.0 * r.lost_fraction),
-            format!("{:.1}%", 100.0 * r.degraded_fraction),
-            format!("{:.2}", r.mean_samples),
-        ]);
-    }
-    t.print();
+    campaign_table(&rows, &cfg).print();
     emit_metrics(opts, metrics);
     emit_trace(opts, journal);
     if check {
         let mut violations = check_envelopes(&rows, campaign_field_side(&cfg));
         violations.extend(churn_violations);
-        if violations.is_empty() {
-            println!("\nall graceful-degradation envelopes hold");
-        } else {
-            eprintln!("\n{} envelope violation(s):", violations.len());
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
+        if !report_violations(&violations) {
             std::process::exit(1);
         }
     }

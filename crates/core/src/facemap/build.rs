@@ -628,11 +628,11 @@ pub(super) fn assemble(
 ///
 /// Built once from a deployment, then kept **alive** under topology
 /// churn: [`FaceMap::kill_node`] / [`FaceMap::revive_node`] (see the
-/// [`repair`](super::repair) module) patch the division in place when a
-/// sensor dies or comes back, bumping [`FaceMap::epoch`]. `positions`
-/// always holds the *live* sensors; `deployment` remembers the original
-/// roster so a node can return, and `pair_gather` maps the deployment's
-/// pair enumeration onto the live one.
+/// `repair` module) patch the division in place when a sensor dies or
+/// comes back, bumping [`FaceMap::epoch`]. `positions` always holds the
+/// *live* sensors; `deployment` remembers the original roster so a node
+/// can return, and `pair_gather` maps the deployment's pair enumeration
+/// onto the live one.
 #[derive(Debug, Clone)]
 pub struct FaceMap {
     pub(super) grid: Grid,

@@ -257,7 +257,7 @@ impl FaceMap {
     /// The map after one churn event — a death of `node` when `death`,
     /// a birth otherwise — with `self` left untouched. Either mode builds
     /// a fresh map (the survivors' planes, groups, neighbor graph and
-    /// chunk envelopes all go through [`assemble`]), so a caller holding
+    /// chunk envelopes all go through `assemble`), so a caller holding
     /// a shared map needs no private copy to repair it, and one repaired
     /// map can be handed to any number of sessions.
     ///

@@ -115,9 +115,8 @@ pub fn digest_face_map(map: &FaceMap) -> u64 {
 /// 48 bits keeps ids exactly representable as JSON numbers (f64 is exact
 /// below 2⁵³) while leaving the collision probability over a campaign's
 /// few hundred sessions at ~10⁻⁹ (birthday bound). The same inputs give
-/// the same id in every process, which is what lets a sharded run's
-/// journal merge with — and a replay diff key against — a single-process
-/// run's.
+/// the same id in every process, which is what lets a replay diff key
+/// against a recorded run's journal.
 pub fn stable_session_id(
     regime: &str,
     method: &str,

@@ -322,8 +322,8 @@ impl TrackingSession {
     ///
     /// The default ids come from a process-global counter, so sessions
     /// created on racing worker threads get ids in a nondeterministic
-    /// order — and across processes (sharded campaigns) the same trial
-    /// gets different ids entirely. Deterministic pipelines (the fault
+    /// order — and across processes the same trial gets different ids
+    /// entirely. Deterministic pipelines (the fault
     /// campaign, replay) derive a *stable* id from the trial's identity
     /// instead and install it here before the first round, so journaled
     /// round events key identically across runs, thread counts and

@@ -1,7 +1,7 @@
 //! Target-mobility substrate: trajectory generation and sampling.
 //!
 //! The paper's simulations move the target with the **random waypoint**
-//! model ([30], Table 1: 1–5 m/s over a 100×100 m² field, 60 s runs), and
+//! model (\[30\], Table 1: 1–5 m/s over a 100×100 m² field, 60 s runs), and
 //! its outdoor experiment walks a "⌐"-shaped waypoint path at changeable
 //! speed (Fig. 13). Both generators live here:
 //!

@@ -1,4 +1,4 @@
-//! The random waypoint mobility model (paper Table 1 / reference [30]).
+//! The random waypoint mobility model (paper Table 1 / reference \[30\]).
 
 use crate::trace::{TimedPoint, Trace};
 use rand::Rng;

@@ -50,8 +50,8 @@ mod tests {
     ///
     /// Every campaign checksum in `crates/bench/baselines/` is downstream
     /// of these outputs: trial `i` of a campaign with master seed `s` is
-    /// seeded with `seed_for(s, i)`, single-process and sharded runs
-    /// alike. A refactor of the parallel layer that changes any of these
+    /// seeded with `seed_for(s, i)`, whatever thread or trial slice runs
+    /// it. A refactor of the parallel layer that changes any of these
     /// values silently invalidates every committed golden checksum — this
     /// test turns that into a loud, named failure at the source.
     #[test]

@@ -7,7 +7,7 @@
 //! and serves three read-only endpoints over hand-rolled std-only
 //! HTTP/1.1:
 //!
-//! * `GET /metrics` — the merged live [`Snapshot`] in Prometheus text
+//! * `GET /metrics` — the merged live [`Snapshot`](wsn_telemetry::Snapshot) in Prometheus text
 //!   exposition 0.0.4 (`Snapshot::to_prometheus`), scrapeable by any
 //!   stock collector;
 //! * `GET /healthz` — per-shard liveness JSON (queue depth, busy age,
@@ -25,7 +25,7 @@
 //! slow-loris client cannot wedge the ops thread. The serve loop itself is
 //! untouched by anything that happens here — the ops plane only ever
 //! *reads* server state (session inspection goes through the same bounded
-//! shard queues as real work, as a [`Job::Query`] that never mutates).
+//! shard queues as real work, as a `Job::Query` that never mutates).
 
 use crate::server::{merged_snapshot, Server, SessionView};
 use std::io::{Read, Write};

@@ -165,7 +165,7 @@ struct Entry {
 }
 
 /// What the owning shard knows about one session, as reported to the ops
-/// plane ([`Job::Query`], `GET /sessions/<id>`).
+/// plane (`Job::Query`, `GET /sessions/<id>`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionView {
     /// The session is live on its shard.

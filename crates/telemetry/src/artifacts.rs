@@ -1,7 +1,7 @@
 //! Upfront writability checks for output artifacts.
 //!
 //! Long runs that only open their `--metrics-out` / `--trace-out` /
-//! `--shard-dir` targets *after* the work completes turn a typo'd
+//! `--flight-dir` targets *after* the work completes turn a typo'd
 //! directory into an hours-later panic. Every artifact-writing binary
 //! calls these probes first, so a bad path fails in milliseconds with a
 //! message naming the flag and the path instead of a backtrace after a
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn writable_dir_creates_probes_and_rejects_files() {
         let dir = scratch("dir-ok");
-        let target = dir.join("shards/deep");
+        let target = dir.join("flight/deep");
         assert_eq!(ensure_writable_dir(&target), Ok(()));
         assert!(target.is_dir(), "missing directories are created");
         assert_eq!(std::fs::read_dir(&target).unwrap().count(), 0);

@@ -4,8 +4,8 @@
 //! The JSON shape is stable and embedded inside the repo's
 //! `BENCH_core.json` / `BENCH_robustness.json` artifacts.
 
-use crate::json::{self, format_f64, JsonValue, Obj};
-use crate::registry::{HistogramSnapshot, Snapshot};
+use crate::json::{self, format_f64, Obj};
+use crate::registry::Snapshot;
 use std::fmt::Write as _;
 
 /// `a.b-c` → `a_b_c`: Prometheus metric names must match
@@ -370,94 +370,6 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, (usize, String)> {
     Ok(samples)
 }
 
-impl Snapshot {
-    /// Parses a snapshot back from its [`Snapshot::to_json`] form — the
-    /// inverse the multi-process campaign merge path needs: each shard
-    /// exports its snapshot to disk, the coordinator re-parses and
-    /// [`Snapshot::merge`]s them.
-    ///
-    /// Round-trip contract (covered by tests):
-    /// * counters are exact for values < 2⁵³ (JSON numbers are f64; the
-    ///   parser rejects non-integral counter/count values rather than
-    ///   silently rounding);
-    /// * gauges and histogram bounds/sums round-trip bit-exactly for
-    ///   finite values because the writer emits shortest-round-trip
-    ///   `Display` strings; non-finite gauges/sums are written as `null`
-    ///   and re-parse as NaN (documented lossiness: the sign and payload
-    ///   of the non-finite value are gone);
-    /// * histogram `counts` keep the overflow bucket (`bounds.len() + 1`
-    ///   entries) so merged bucket shapes stay compatible.
-    pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let doc = JsonValue::parse(text).map_err(|e| format!("snapshot JSON: {e}"))?;
-        Snapshot::from_json_value(&doc)
-    }
-
-    /// Like [`Snapshot::from_json`], over an already-parsed document (for
-    /// snapshots embedded inside a larger artifact).
-    pub fn from_json_value(doc: &JsonValue) -> Result<Snapshot, String> {
-        let mut snap = Snapshot::default();
-        let ctx = "snapshot JSON";
-        for (name, v) in doc.req_object("counters", ctx)? {
-            let n = v
-                .as_u64()
-                .ok_or_else(|| format!("counter {name:?}: not a non-negative integer"))?;
-            snap.counters.insert(name.clone(), n);
-        }
-        for (name, v) in doc.req_object("gauges", ctx)? {
-            snap.gauges.insert(name.clone(), f64_or_nan(v, name)?);
-        }
-        for (name, v) in doc.req_object("histograms", ctx)? {
-            let ctx = format!("histogram {name:?}");
-            let bounds = v
-                .req_array("bounds", &ctx)?
-                .iter()
-                .map(|b| {
-                    b.as_f64()
-                        .ok_or_else(|| format!("histogram {name:?}: non-numeric bound"))
-                })
-                .collect::<Result<Vec<f64>, String>>()?;
-            let counts = v
-                .req_array("counts", &ctx)?
-                .iter()
-                .map(|c| {
-                    c.as_u64()
-                        .ok_or_else(|| format!("histogram {name:?}: non-integer bucket count"))
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-            if counts.len() != bounds.len() + 1 {
-                return Err(format!(
-                    "histogram {name:?}: {} counts for {} bounds (need bounds + overflow)",
-                    counts.len(),
-                    bounds.len()
-                ));
-            }
-            let count = v.req_u64("count", &ctx)?;
-            let sum = f64_or_nan(v.req("sum", &ctx)?, name)?;
-            snap.histograms.insert(
-                name.clone(),
-                HistogramSnapshot {
-                    bounds,
-                    counts,
-                    count,
-                    sum,
-                },
-            );
-        }
-        Ok(snap)
-    }
-}
-
-/// The writer spells NaN/∞ as `null`; re-parse it as NaN so a round-trip
-/// stays a gauge rather than an error.
-fn f64_or_nan(v: &JsonValue, name: &str) -> Result<f64, String> {
-    match v {
-        JsonValue::Null => Ok(f64::NAN),
-        other => other
-            .as_f64()
-            .ok_or_else(|| format!("{name:?}: not a number or null")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Registry;
@@ -611,132 +523,5 @@ mod tests {
                     lat_sum 3.5\n\
                     lat_count 2\n";
         assert_eq!(crate::validate_prometheus_text(text), Ok(5));
-    }
-}
-
-#[cfg(test)]
-mod roundtrip_tests {
-    use crate::registry::{HistogramSnapshot, Snapshot};
-
-    fn sample() -> Snapshot {
-        let mut s = Snapshot::default();
-        s.counters.insert("a.events".into(), 12);
-        s.counters.insert("b.big".into(), (1u64 << 53) - 1);
-        s.gauges.insert("g.tenth".into(), 0.1);
-        s.gauges.insert("g.tiny".into(), 1e-308);
-        s.gauges.insert("g.negzero".into(), -0.0);
-        s.gauges.insert("g.pi".into(), std::f64::consts::PI);
-        s.histograms.insert(
-            "h.lat".into(),
-            HistogramSnapshot {
-                bounds: vec![0.1, 1.0, 10.0],
-                counts: vec![1, 2, 0, 3],
-                count: 6,
-                sum: 123.456789,
-            },
-        );
-        s
-    }
-
-    #[test]
-    fn export_reparse_is_lossless_for_finite_values() {
-        let snap = sample();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back.counters, snap.counters);
-        assert_eq!(back.gauges.len(), snap.gauges.len());
-        for (k, v) in &snap.gauges {
-            let r = back.gauges[k];
-            assert_eq!(r.to_bits(), v.to_bits(), "gauge {k} mangled: {v} -> {r}");
-        }
-        assert_eq!(back.histograms, snap.histograms);
-    }
-
-    #[test]
-    fn embedded_form_reparses_too() {
-        let snap = sample();
-        let doc = crate::json::JsonValue::parse(&crate::json::pretty(|o| {
-            o.field("bench", "x")
-                .object("metrics", |m| snap.write_json(m));
-        }))
-        .unwrap();
-        let back = Snapshot::from_json_value(doc.get("metrics").unwrap()).unwrap();
-        assert_eq!(back.counters, snap.counters);
-        assert_eq!(back.histograms, snap.histograms);
-    }
-
-    #[test]
-    fn non_finite_gauges_round_trip_to_nan_by_contract() {
-        let mut s = Snapshot::default();
-        s.gauges.insert("g.inf".into(), f64::INFINITY);
-        let back = Snapshot::from_json(&s.to_json()).unwrap();
-        assert!(back.gauges["g.inf"].is_nan());
-    }
-
-    /// The shard-merge path end to end: export → reparse → merge must
-    /// behave exactly like merging the in-memory snapshots — counters
-    /// add, gauges last-write-wins, equal-bounds histograms add, and
-    /// mismatched-bounds histograms refuse with the same named error.
-    #[test]
-    fn reparsed_merge_matches_in_memory_merge() {
-        let a = sample();
-        let mut b = sample();
-        b.counters.insert("a.events".into(), 30);
-        b.gauges.insert("g.pi".into(), 2.5);
-
-        let mut in_memory = a.clone();
-        in_memory.try_merge(&b).unwrap();
-
-        let mut reparsed = Snapshot::from_json(&a.to_json()).unwrap();
-        reparsed
-            .try_merge(&Snapshot::from_json(&b.to_json()).unwrap())
-            .unwrap();
-
-        assert_eq!(reparsed.counters, in_memory.counters);
-        assert_eq!(reparsed.histograms, in_memory.histograms);
-        assert_eq!(
-            reparsed.counters["a.events"], 42,
-            "counters add across shards"
-        );
-        assert_eq!(reparsed.gauges["g.pi"], 2.5, "gauges last-write-wins");
-        assert_eq!(reparsed.histograms["h.lat"].count, 12, "histograms add");
-
-        // A shard exported by a different telemetry version (other bucket
-        // ladder) must fail the reparsed merge with the same named error
-        // as the in-memory path — not silently fold garbage.
-        let mut c = sample();
-        c.histograms.insert(
-            "h.lat".into(),
-            HistogramSnapshot {
-                bounds: vec![0.5, 5.0], // mismatched bounds vs `a`
-                counts: vec![4, 0, 1],
-                count: 5,
-                sum: 9.25,
-            },
-        );
-        let in_memory_err = a.clone().try_merge(&c).unwrap_err();
-        let reparsed_err = Snapshot::from_json(&a.to_json())
-            .unwrap()
-            .try_merge(&Snapshot::from_json(&c.to_json()).unwrap())
-            .unwrap_err();
-        assert_eq!(in_memory_err, reparsed_err);
-    }
-
-    #[test]
-    fn malformed_documents_are_rejected_with_named_cause() {
-        for (text, needle) in [
-            ("{}", "missing \"counters\""),
-            (
-                r#"{"counters": {"c": 1.5}, "gauges": {}, "histograms": {}}"#,
-                "non-negative integer",
-            ),
-            (
-                r#"{"counters": {}, "gauges": {}, "histograms":
-                    {"h": {"bounds": [1], "counts": [1], "count": 1, "sum": 1}}}"#,
-                "need bounds + overflow",
-            ),
-        ] {
-            let err = Snapshot::from_json(text).unwrap_err();
-            assert!(err.contains(needle), "{err:?} lacks {needle:?}");
-        }
     }
 }

@@ -2,13 +2,13 @@
 //! reader for the suite's own artifacts.
 //!
 //! The workspace carries no serialization library, so every JSON document
-//! it writes — the `BENCH_*` artifacts, shard files, golden checksums,
-//! trace journals, metrics snapshots and the ops-plane bodies — goes
-//! through [`Writer`], and everything that reads one back (`fttt-sim
-//! explain`/`replay`, the shard merge, the regression gates) parses with
-//! [`JsonValue`]. The encoding rules therefore live here and nowhere
-//! else: string escaping ([`format_str`]), float spelling with NaN/±∞ as
-//! `null` ([`format_f64`]), and full-range `u64`s as hex strings
+//! it writes — the `BENCH_*` artifacts, golden checksums, trace journals,
+//! metrics snapshots and the ops-plane bodies — goes through [`Writer`],
+//! and everything that reads one back (`fttt-sim explain`/`replay`, the
+//! regression gates) parses with [`JsonValue`]. The encoding rules
+//! therefore live here and nowhere else: string escaping
+//! ([`format_str`]), float spelling with NaN/±∞ as `null`
+//! ([`format_f64`]), and full-range `u64`s as hex strings
 //! ([`format_hex`]).
 //!
 //! The reader is a hand-rolled recursive-descent parser that accepts
@@ -483,7 +483,7 @@ impl<T: Scalar> Scalar for Option<T> {
 ///   member per line; arrays stay on one line (`[1, 2]`), unless their
 ///   elements are containers, in which case each element gets a line of
 ///   its own and is written whole on it (`{ "a": 1, "b": [1, 2] }`). So a
-///   record array — trace events, campaign rows, shard trials — reads as
+///   record array — trace events, campaign rows — reads as
 ///   one record per line.
 #[derive(Debug)]
 pub struct Writer {
