@@ -7,7 +7,9 @@
 //! the coarse-to-fine chunk index has to deliver sublinear full-accuracy
 //! matching — `indexed` (steady-state mean) and `indexed_p99` (worst
 //! percentile over a 10×10 grid of probe targets) are gated alongside the
-//! linear scan:
+//! linear scan. Every row also times a warm heuristic climb twice, on the
+//! grouping's basic vector (`heuristic_warm`) and on its Definition-10
+//! vector (`heuristic_extended`):
 //!
 //! * build reference — a faithful port of the seed's serial
 //!   `FaceMap::build`: rasterize all rows into per-cell `SignatureVector`
@@ -44,7 +46,7 @@
 
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
 use fttt::matching::{match_exhaustive, match_heuristic, match_indexed};
-use fttt::sampling::{basic_sampling_vector, PairEvidence, QueryBuilder};
+use fttt::sampling::{basic_sampling_vector, extended_sampling_vector, PairEvidence, QueryBuilder};
 use fttt::session::{SessionOptions, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
 use fttt::vector::{difference_norm_squared, SamplingVector, SignatureVector};
@@ -67,9 +69,11 @@ struct Setup {
     /// Every face's signature, decoded once for the scalar reference
     /// matcher (the seed kept one `SignatureVector` per face).
     signatures: Vec<SignatureVector>,
-    /// The grouping sampled at `truth` (k = 5) and its basic vector.
+    /// The grouping sampled at `truth` (k = 5), its basic vector and its
+    /// Definition-10 vector.
     group: GroupSampling,
     vector: SamplingVector,
+    extended: SamplingVector,
     truth: Point,
     /// Sampling vectors from a 10×10 grid of probe targets — the p99
     /// population (one steady-state query per distinct target position).
@@ -102,6 +106,7 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
         map,
         signatures,
         vector: basic_sampling_vector(&group),
+        extended: extended_sampling_vector(&group),
         group,
         truth,
         probes,
@@ -334,6 +339,7 @@ struct Row {
     match_ref_us: Option<f64>,
     match_packed_us: f64,
     match_heur_us: f64,
+    match_heur_ext_us: f64,
     match_indexed_us: f64,
     match_indexed_p99_us: f64,
     round: RoundCols,
@@ -424,6 +430,7 @@ fn main() {
             "match ref (µs)",
             "match packed (µs)",
             "heur warm (µs)",
+            "heur ext (µs)",
             "match idx (µs)",
             "idx p99 (µs)",
             "alg1 ref (µs)",
@@ -478,17 +485,18 @@ fn main() {
                 },
                 &mut || {
                     for _ in 0..match_batch {
+                        std::hint::black_box(match_heuristic(&s.map, &s.extended, warm));
+                    }
+                },
+                &mut || {
+                    for _ in 0..match_batch {
                         std::hint::black_box(match_indexed(&s.map, &s.vector));
                     }
                 },
             ],
         );
-        let (match_ref_us, match_packed_us, match_heur_us, match_indexed_us) = (
-            batch(matches[0]),
-            batch(matches[1]),
-            batch(matches[2]),
-            batch(matches[3]),
-        );
+        let [match_ref_us, match_packed_us, match_heur_us, match_heur_ext_us, match_indexed_us] =
+            [0, 1, 2, 3, 4].map(|i| batch(matches[i]));
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
         let round = time_round(&s, match_rounds, round_batch);
 
@@ -501,6 +509,7 @@ fn main() {
             format!("{match_ref_us:.1}"),
             format!("{match_packed_us:.1}"),
             format!("{match_heur_us:.1}"),
+            format!("{match_heur_ext_us:.1}"),
             format!("{match_indexed_us:.1}"),
             format!("{match_indexed_p99_us:.1}"),
             format!("{:.1}", round.alg1_reference_us),
@@ -516,6 +525,7 @@ fn main() {
             match_ref_us: Some(match_ref_us),
             match_packed_us,
             match_heur_us,
+            match_heur_ext_us,
             match_indexed_us,
             match_indexed_p99_us,
             round,
@@ -546,13 +556,18 @@ fn main() {
                 },
                 &mut || {
                     for _ in 0..big_match_batch {
+                        std::hint::black_box(match_heuristic(&s.map, &s.extended, warm));
+                    }
+                },
+                &mut || {
+                    for _ in 0..big_match_batch {
                         std::hint::black_box(match_indexed(&s.map, &s.vector));
                     }
                 },
             ],
         );
-        let (match_packed_us, match_heur_us, match_indexed_us) =
-            (batch(matches[0]), batch(matches[1]), batch(matches[2]));
+        let [match_packed_us, match_heur_us, match_heur_ext_us, match_indexed_us] =
+            [0, 1, 2, 3].map(|i| batch(matches[i]));
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
         let round = time_round(&s, match_rounds, round_batch);
 
@@ -565,6 +580,7 @@ fn main() {
             "-".into(),
             format!("{match_packed_us:.1}"),
             format!("{match_heur_us:.1}"),
+            format!("{match_heur_ext_us:.1}"),
             format!("{match_indexed_us:.1}"),
             format!("{match_indexed_p99_us:.1}"),
             format!("{:.1}", round.alg1_reference_us),
@@ -580,6 +596,7 @@ fn main() {
             match_ref_us: None,
             match_packed_us,
             match_heur_us,
+            match_heur_ext_us,
             match_indexed_us,
             match_indexed_p99_us,
             round,
@@ -663,6 +680,7 @@ fn main() {
         let warm = s.map.face_at(s.truth).unwrap();
         std::hint::black_box(match_exhaustive(&s.map, &s.vector));
         std::hint::black_box(match_heuristic(&s.map, &s.vector, warm));
+        std::hint::black_box(match_heuristic(&s.map, &s.extended, warm));
         std::hint::black_box(match_indexed(&s.map, &s.vector));
     }
     {
@@ -786,6 +804,7 @@ fn render_json(
                             }
                             g.field("packed_exhaustive", r.match_packed_us)
                                 .field("heuristic_warm", r.match_heur_us)
+                                .field("heuristic_extended", r.match_heur_ext_us)
                                 .field("indexed", r.match_indexed_us)
                                 .field("indexed_p99", r.match_indexed_p99_us);
                         })

@@ -47,58 +47,57 @@ impl Default for Cli {
     }
 }
 
+/// The options every experiment binary accepts.
+const USAGE: &str = "usage: [--seed N] [--trials N] [--out DIR] [--fast] [--churn] \
+                     [--check BASELINE.json] [--check-determinism] [--checksum-baseline FILE]";
+
 impl Cli {
-    /// Parses the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parses the process arguments. On a malformed argument, prints what
+    /// is wrong and the usage to stderr and exits with code 2.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses from an explicit iterator (testable).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Names the argument at fault: an unknown flag, a flag missing its
+    /// value, or a value that does not parse.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut cli = Self::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            let mut value = |what: &str| it.next().ok_or(format!("{arg} needs {what}"));
             match arg.as_str() {
                 "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    cli.seed = v.parse().expect("--seed must be a u64");
+                    let v = value("a value")?;
+                    cli.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed must be a u64, got {v:?}"))?;
                 }
                 "--trials" => {
-                    let v = it.next().expect("--trials needs a value");
-                    cli.trials = Some(v.parse().expect("--trials must be a usize"));
+                    let v = value("a value")?;
+                    cli.trials = Some(
+                        v.parse()
+                            .map_err(|_| format!("--trials must be a usize, got {v:?}"))?,
+                    );
                 }
-                "--out" => {
-                    cli.out = it.next().expect("--out needs a value").into();
-                }
+                "--out" => cli.out = value("a value")?.into(),
                 "--fast" => cli.fast = true,
-                "--check" => {
-                    cli.check = Some(it.next().expect("--check needs a baseline path").into());
-                }
+                "--check" => cli.check = Some(value("a baseline path")?.into()),
                 "--check-determinism" => cli.check_determinism = true,
                 "--churn" => cli.churn = true,
                 "--checksum-baseline" => {
-                    cli.checksum_baseline = Some(
-                        it.next()
-                            .expect("--checksum-baseline needs a baseline path")
-                            .into(),
-                    );
+                    cli.checksum_baseline = Some(value("a baseline path")?.into());
                 }
-                other => panic!(
-                    "unknown argument {other}; usage: [--seed N] [--trials N] [--out DIR] \
-                     [--fast] [--churn] [--check BASELINE.json] [--check-determinism] \
-                     [--checksum-baseline FILE]"
-                ),
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// The trial count to use given a binary default.
@@ -116,8 +115,12 @@ impl Cli {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Cli {
+    fn try_parse(args: &[&str]) -> Result<Cli, String> {
         Cli::parse_from(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> Cli {
+        try_parse(args).expect("valid arguments")
     }
 
     #[test]
@@ -156,9 +159,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn unknown_flag_rejected() {
-        let _ = parse(&["--nope"]);
+        let err = try_parse(&["--nope"]).unwrap_err();
+        assert!(err.contains("unknown argument --nope"), "{err}");
+    }
+
+    #[test]
+    fn bad_values_are_named_errors() {
+        let err = try_parse(&["--seed", "x"]).unwrap_err();
+        assert!(err.contains("--seed must be a u64"), "{err}");
+        let err = try_parse(&["--trials"]).unwrap_err();
+        assert!(err.contains("--trials needs a value"), "{err}");
     }
 
     #[test]

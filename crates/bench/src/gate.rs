@@ -72,6 +72,14 @@ pub fn core_tolerances() -> Vec<(&'static str, &'static str, Tolerance)> {
         ),
         (
             "match_us",
+            "heuristic_extended",
+            Tolerance {
+                ratio: 2.5,
+                slack: 10.0,
+            },
+        ),
+        (
+            "match_us",
             "indexed",
             Tolerance {
                 ratio: 1.75,

@@ -26,8 +26,8 @@ fn committed_baseline_has_every_gated_metric() {
     // can't pass: the full n = 10/20/40 sweep, the match-only
     // N = 100/200 scale rows, then the trailing n = 40 live-churn repair
     // row, and (presence-driven gating) every row must actually carry
-    // the metrics it is supposed to pin — the indexed match and the
-    // round's Algorithm-1 and session-step timings.
+    // the metrics it is supposed to pin — the extended climb, the
+    // indexed match and the round's Algorithm-1 and session-step timings.
     let doc = baseline();
     let rows = doc.get("results").and_then(JsonValue::as_array).unwrap();
     let ns: Vec<u64> = rows
@@ -55,6 +55,7 @@ fn committed_baseline_has_every_gated_metric() {
             continue;
         }
         for (group, metric) in [
+            ("match_us", "heuristic_extended"),
             ("match_us", "indexed"),
             ("match_us", "indexed_p99"),
             ("round_us", "alg1_basic"),

@@ -1,7 +1,8 @@
 //! Tier-1 checks of `fault_campaign --fast --check-determinism`'s exit
 //! paths: an unreadable baseline fails before any trial runs, a config
 //! with no baseline entry and a drifted checksum each fail with a named
-//! cause, and the committed baseline passes. No path may end in a panic.
+//! cause, and the committed baseline passes. A misspelt flag is a usage
+//! error (exit 2). No path may end in a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -91,4 +92,21 @@ fn committed_baseline_passes() {
         "{stdout}"
     );
     assert!(!stderr.contains("panicked at"), "{stderr}");
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fault_campaign"))
+        .arg("--bogus")
+        .output()
+        .expect("spawn fault_campaign");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "expected exit 2:\n{err}");
+    assert!(err.contains("unknown argument --bogus"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+    assert!(
+        !err.contains("panicked at"),
+        "a panic, not a usage error:\n{err}"
+    );
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
 }

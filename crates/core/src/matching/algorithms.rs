@@ -15,8 +15,9 @@
 //! similarities would fabricate ties that the metric does not have.
 
 use crate::facemap::{FaceId, FaceMap};
-use crate::vector::{PackedQuery, SamplingVector};
+use crate::vector::{PackedQuery, SamplingVector, SignaturePlanes};
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use wsn_telemetry as telemetry;
 
@@ -89,8 +90,9 @@ pub fn match_exhaustive(map: &FaceMap, v: &SamplingVector) -> MatchOutcome {
 pub(crate) fn match_exhaustive_packed(map: &FaceMap, q: &PackedQuery) -> MatchOutcome {
     assert_dimension(map, q);
     let planes = map.planes();
+    let mut scratch = MATCH_SCRATCH.with(Cell::take);
+    let ties = scratch.clear_ties(map.face_count());
     let mut best_d2 = f64::INFINITY;
-    let mut ties: Vec<FaceId> = Vec::new();
     for (f, d2) in planes.scan(q) {
         if d2 < best_d2 {
             best_d2 = d2;
@@ -101,6 +103,7 @@ pub(crate) fn match_exhaustive_packed(map: &FaceMap, q: &PackedQuery) -> MatchOu
         }
     }
     ties.sort_unstable();
+    let ties = scratch.take_ties();
     let face = *ties
         .first()
         .expect("FaceMap invariant: a built map has at least one face (asserted at construction)");
@@ -189,17 +192,43 @@ impl Ord for FrontierEntry {
 /// Min-priority queue driving the best-first descent in
 /// [`match_indexed`]: pops the frontier node with the smallest lower
 /// bound first, with a deterministic tie order (see [`FrontierEntry`]).
+#[derive(Default)]
 struct BestFirstFrontier {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<FrontierEntry>>,
 }
 
-impl BestFirstFrontier {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            heap: std::collections::BinaryHeap::with_capacity(n),
-        }
+/// A thread's reusable buffers for the full-accuracy matchers, taken and
+/// set back around each match, so one allocates nothing but the tie list
+/// it returns: the indexed descent's frontier heap and the tie collection,
+/// which is copied out once at its final length.
+#[derive(Default)]
+struct MatchScratch {
+    frontier: BestFirstFrontier,
+    ties: Vec<FaceId>,
+}
+
+impl MatchScratch {
+    /// Empties the tie collection, with room for every face of the map,
+    /// so that it never grows mid-match.
+    fn clear_ties(&mut self, faces: usize) -> &mut Vec<FaceId> {
+        self.ties.clear();
+        self.ties.reserve(faces);
+        &mut self.ties
     }
 
+    /// Hands the collected ties back to the thread and returns their copy.
+    fn take_ties(self) -> Vec<FaceId> {
+        let ties = self.ties.clone();
+        MATCH_SCRATCH.with(|c| c.set(self));
+        ties
+    }
+}
+
+thread_local! {
+    static MATCH_SCRATCH: Cell<MatchScratch> = Cell::default();
+}
+
+impl BestFirstFrontier {
     fn push(&mut self, bound: f64, node: Node) {
         self.heap
             .push(std::cmp::Reverse(FrontierEntry { bound, node }));
@@ -270,7 +299,13 @@ pub(crate) fn match_indexed_packed(map: &FaceMap, q: &PackedQuery) -> MatchOutco
     // the optimum immediately and the rest of the queue dies on the
     // first pop whose bound exceeds it. Most of the map is pruned
     // without its leaf bounds (let alone faces) ever being touched.
-    let mut frontier = BestFirstFrontier::with_capacity(planes.super_count() + 16);
+    let mut scratch = MATCH_SCRATCH.with(Cell::take);
+    scratch.clear_ties(map.face_count());
+    let MatchScratch { frontier, ties } = &mut scratch;
+    frontier.heap.clear();
+    // Every super-chunk and chunk enters the frontier at most once, so
+    // after the first descent on a map the heap never grows.
+    frontier.heap.reserve(planes.super_count() + chunk_count);
     let mut min_bound = f64::INFINITY;
     for s in 0..planes.super_count() as u32 {
         let b = planes.super_lower_bound(s as usize, q);
@@ -279,7 +314,6 @@ pub(crate) fn match_indexed_packed(map: &FaceMap, q: &PackedQuery) -> MatchOutco
     }
 
     let mut best_d2 = f64::INFINITY;
-    let mut ties: Vec<FaceId> = Vec::new();
     let mut evaluated = 0usize;
     let mut descended = 0u64;
     let mut scanned = 0u64;
@@ -326,6 +360,7 @@ pub(crate) fn match_indexed_packed(map: &FaceMap, q: &PackedQuery) -> MatchOutco
     // Chunks interleave face ids, so restore the exhaustive scan's face
     // order before `ties[0]` picks the winner.
     ties.sort_unstable();
+    let ties = scratch.take_ties();
     let face = *ties
         .first()
         .expect("FaceMap invariant: a built map has at least one face (asserted at construction)");
@@ -428,6 +463,75 @@ fn render_hop_path(path: &[u32]) -> String {
     out
 }
 
+/// The climb's best face so far and its squared distance, which an
+/// extended climb takes only once a comparison or the final similarity
+/// needs it.
+struct Incumbent {
+    face: FaceId,
+    d2: Option<f64>,
+}
+
+/// How one climb compares faces: the step of the loop that depends on the
+/// query's form. A ternary query takes every neighbour's exact popcount
+/// distance. An extended query screens a neighbour against the incumbent
+/// by the pairs where they differ
+/// ([`SignaturePlanes::screen_extended`]),
+/// and takes the exact Definition-10 sums only when the screen cannot
+/// decide.
+struct Comparer<'a> {
+    planes: &'a SignaturePlanes,
+    q: &'a PackedQuery,
+    extended: bool,
+    /// Exact extended sums taken (`fttt.match.heuristic.exact_sums`).
+    exact_sums: u64,
+}
+
+// Inlined into the climb loop: a sparse basic query's comparison is one
+// gathered popcount sum of about 80 ns at 100 nodes, so a call per
+// neighbour shows.
+impl Comparer<'_> {
+    /// The exact kernel distance of face `f`.
+    #[inline(always)]
+    fn d2(&mut self, f: FaceId) -> f64 {
+        self.exact_sums += u64::from(self.extended);
+        self.planes.distance_squared(f.index(), self.q)
+    }
+
+    /// The incumbent's exact distance, taken once.
+    #[inline(always)]
+    fn best_d2(&mut self, best: &mut Incumbent) -> f64 {
+        match best.d2 {
+            Some(d2) => d2,
+            None => *best.d2.insert(self.d2(best.face)),
+        }
+    }
+
+    /// `nb`'s distance ordered against the incumbent's (`Less` is a strict
+    /// ascent, `Equal` a tie), with `nb`'s exact distance when it was
+    /// taken. The verdict is always the exact comparison's.
+    #[inline(always)]
+    fn compare(&mut self, nb: FaceId, best: &mut Incumbent) -> (Ordering, Option<f64>) {
+        if self.extended {
+            let screened = self
+                .planes
+                .screen_extended(nb.index(), best.face.index(), self.q);
+            if let Some(order) = screened {
+                return (order, None);
+            }
+        }
+        let d2 = self.d2(nb);
+        let best_d2 = self.best_d2(best);
+        let order = if d2 < best_d2 {
+            Ordering::Less
+        } else if d2 == best_d2 {
+            Ordering::Equal
+        } else {
+            Ordering::Greater
+        };
+        (order, Some(d2))
+    }
+}
+
 /// Algorithm 2: hill-climbing over neighbor-face links, with bounded
 /// plateau traversal.
 ///
@@ -442,8 +546,20 @@ fn render_hop_path(path: &[u32]) -> String {
 /// `PLATEAU_BUDGET` expansions since the last strict improvement) to find
 /// the next ascent. This keeps the per-localization cost far below the
 /// exhaustive scan while recovering its accuracy in practice —
-/// `perf_snapshot` times it (`heuristic_warm` against
-/// `packed_exhaustive`) and `tests/end_to_end.rs` checks the accuracy.
+/// `perf_snapshot` times it (`heuristic_warm` and `heuristic_extended`
+/// against `packed_exhaustive`) and `tests/end_to_end.rs` checks the
+/// accuracy.
+///
+/// Each visited neighbour is compared with the best face so far. A basic
+/// (ternary) query compares exact popcount distances. An extended
+/// (Definition 10) query first screens the neighbour by the known pairs
+/// where the two faces differ, under a proven float-error margin, and
+/// takes the sequential pair-order sums only when the screen cannot
+/// decide and once for the winner's similarity: about one such sum per
+/// climb instead of one per neighbour. The outcome — face, similarity
+/// bits, ties, `evaluated` and `rounds` — is exactly that of comparing
+/// every neighbour's full sum; a screened neighbour still counts as an
+/// evaluation.
 ///
 /// The returned `ties` holds every *visited* face attaining the final
 /// similarity (a global tie scan would defeat the point of the heuristic).
@@ -473,7 +589,12 @@ pub(crate) fn match_heuristic_packed(
     /// tie case, which the tie list already covers.
     const PLATEAU_BUDGET: usize = 64;
 
-    let planes = map.planes();
+    let mut comparer = Comparer {
+        planes: map.planes(),
+        q,
+        extended: !q.is_packed_ternary(),
+        exact_sums: 0,
+    };
 
     let mut scratch = CLIMB_SCRATCH.with(Cell::take);
     scratch.begin(map.face_count());
@@ -484,8 +605,10 @@ pub(crate) fn match_heuristic_packed(
     } = &mut scratch;
     let mut visit = |f: FaceId| std::mem::replace(&mut stamps[f.index()], *epoch) != *epoch;
     visit(start);
-    let mut best_d2 = planes.distance_squared(start.index(), q);
-    let mut best_face = start;
+    let mut best = Incumbent {
+        face: start,
+        d2: None,
+    };
     let mut best_ties = vec![start];
     let mut evaluated = 1;
     let mut rounds = 0;
@@ -509,29 +632,32 @@ pub(crate) fn match_heuristic_packed(
             if !visit(nb) {
                 continue;
             }
-            let d2 = planes.distance_squared(nb.index(), q);
             evaluated += 1;
-            if d2 < best_d2 {
-                // Strict ascent: restart the plateau walk from here.
-                best_d2 = d2;
-                best_face = nb;
-                best_ties.clear();
-                best_ties.push(nb);
-                frontier.clear();
-                frontier.push_back(nb);
-                since_improvement = 0;
-                rounds += 1;
-                if let Some(path) = hop_path.as_mut() {
-                    path.push(nb.index() as u32);
+            match comparer.compare(nb, &mut best) {
+                (Ordering::Less, d2) => {
+                    // Strict ascent: restart the plateau walk from here.
+                    best = Incumbent { face: nb, d2 };
+                    best_ties.clear();
+                    best_ties.push(nb);
+                    frontier.clear();
+                    frontier.push_back(nb);
+                    since_improvement = 0;
+                    rounds += 1;
+                    if let Some(path) = hop_path.as_mut() {
+                        path.push(nb.index() as u32);
+                    }
                 }
-            } else if d2 == best_d2 {
-                best_ties.push(nb);
-                frontier.push_back(nb);
+                (Ordering::Equal, _) => {
+                    best_ties.push(nb);
+                    frontier.push_back(nb);
+                }
+                (Ordering::Greater, _) => {}
             }
         }
     }
 
     CLIMB_SCRATCH.with(|c| c.set(scratch));
+    let best_d2 = comparer.best_d2(&mut best);
 
     if telemetry::enabled() {
         telemetry::counter_add("fttt.match.heuristic.calls", 1);
@@ -540,6 +666,7 @@ pub(crate) fn match_heuristic_packed(
             "fttt.match.heuristic.plateau_expansions",
             plateau_expansions,
         );
+        telemetry::counter_add("fttt.match.heuristic.exact_sums", comparer.exact_sums);
         telemetry::observe(
             "fttt.match.heuristic.rounds",
             telemetry::COUNT_BUCKETS,
@@ -557,7 +684,7 @@ pub(crate) fn match_heuristic_packed(
             "fttt.match.heuristic",
             vec![
                 ("start", ArgValue::U64(start.index() as u64)),
-                ("face", ArgValue::U64(best_face.index() as u64)),
+                ("face", ArgValue::U64(best.face.index() as u64)),
                 ("path", ArgValue::Str(render_hop_path(&path))),
                 ("evaluated", ArgValue::U64(evaluated as u64)),
                 ("rounds", ArgValue::U64(rounds as u64)),
@@ -567,7 +694,7 @@ pub(crate) fn match_heuristic_packed(
         );
     }
     MatchOutcome {
-        face: best_face,
+        face: best.face,
         similarity: similarity_of_d2(best_d2),
         ties: best_ties,
         evaluated,

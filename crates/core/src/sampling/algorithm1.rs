@@ -201,6 +201,17 @@ fn copy_bits(dst: &mut [u64], to: usize, src: &[u64], from: usize, len: usize) {
     }
 }
 
+/// Sets the `len` bits of `dst` from bit `from` on.
+fn set_bits(dst: &mut [u64], from: usize, len: usize) {
+    let (mut at, end) = (from, from + len);
+    while at < end {
+        let (w, b) = (at / 64, at % 64);
+        let take = (end - at).min(64 - b);
+        dst[w] |= (!0u64 >> (64 - take)) << b;
+        at += take;
+    }
+}
+
 /// Node `a`'s order evidence against each later node `j` (index
 /// `j − a − 1`): the instants with `r_a > r_j` (`seq`), `r_a < r_j`
 /// (`rev`) and `r_a == r_j` (`tie`).
@@ -297,7 +308,10 @@ const RANK_SETS_FROM: usize = 28;
 /// evidence directly: per node `i` and instant, one branch-free sweep
 /// compares `r_i` with the readings of every later node and adds to the
 /// row's `seq`/`rev`/`tie` counts, which the compiler vectorizes; the
-/// row's terms follow. A round whose values are all `−1`, `0` or `+1`
+/// row's terms follow. The known-pair mask (`present`, which the climb's
+/// screen reads) is written from the responded bits by word operations:
+/// a responder's row is known throughout, a silent node's row toward the
+/// responders. A round whose values are all `−1`, `0` or `+1`
 /// packs ternary, exactly as [`PackedQuery::new`] packs such an extended
 /// vector.
 ///
@@ -398,14 +412,27 @@ impl QueryBuilder {
         }
     }
 
-    /// Writes the extended terms of every pair of the `m` loaded nodes.
-    /// Returns `true` and leaves an extended query when some value is
-    /// fractional, `false` (the query unfinished) when every value is
-    /// `−1`, `0` or `+1`.
+    /// Writes the extended terms and the known-pair mask of every pair of
+    /// the `m` loaded nodes. Returns `true` and leaves an extended query
+    /// when some value is fractional, `false` (the query unfinished) when
+    /// every value is `−1`, `0` or `+1`.
     fn extended_terms(&mut self, m: usize) -> bool {
-        let QueryParts { terms, .. } = self.query.reset(pair_count(m));
+        let QueryParts { present, terms, .. } = self.query.reset(pair_count(m));
         let responded = &self.responded;
         let is_responded = |j: usize| responded[j / 64] >> (j % 64) & 1 == 1;
+        // A pair is known unless both of its nodes were silent: a
+        // responder's row is known throughout, a silent node's row
+        // exactly toward the responders.
+        let mut offset = 0;
+        for a in 0..m - 1 {
+            let len = m - 1 - a;
+            if is_responded(a) {
+                set_bits(present, offset, len);
+            } else {
+                copy_bits(present, offset, responded, a + 1, len);
+            }
+            offset += len;
+        }
         let [star, plus, minus] = [None, Some(1.0), Some(-1.0)].map(component_terms);
         let (mut fractional, mut zeros) = (false, 0);
         for a in 0..m - 1 {

@@ -565,7 +565,7 @@ impl SignaturePlanes {
                 };
                 d2 as f64
             }
-            QueryKind::Extended { terms } => {
+            QueryKind::Extended { terms, .. } => {
                 let mut acc = 0.0f64;
                 // Decoded a word (64 components) at a time, each picking its
                 // precomputed term, and accumulated strictly in pair order,
@@ -867,6 +867,97 @@ impl SignaturePlanes {
         }
         simd::d2_ternary_within(gp, gm, plus, minus, present, cutoff).map(|d| d as f64)
     }
+
+    /// Orders face `f` against face `g` on an extended query without the
+    /// full sum when a margin proves the order: `Some(Less)` when
+    /// `d²(f) < d²(g)`, `Some(Greater)` when `d²(f) > d²(g)`,
+    /// `Some(Equal)` when the two sums are the same bits, and `None` when
+    /// only the exact sums can tell. `d²` is the exact kernel value
+    /// ([`distance_squared`](SignaturePlanes::distance_squared)), so the
+    /// verdict is the one comparing those two sums would give.
+    ///
+    /// **The screen.** Let `t̂ₚ[c]` be the query's term for pair `p` and
+    /// face component `c`, `N` the pair count, `K` the known pairs (the
+    /// `present` mask), `u = 2⁻⁵³` and `γₖ = k·u/(1 − k·u)`.
+    ///
+    /// * Every term is a nonnegative f64 of at most 4, since
+    ///   `|v − g| ≤ 2` and rounding is monotone; a `*` pair's terms are
+    ///   all `+0.0`. So a face's exact real sum `S` of its terms is at
+    ///   most `4K`, and the kernel's pair-order float sum `F` satisfies
+    ///   `|F − S| ≤ γ_N·S ≤ 4K·γ_N`.
+    /// * Outside `D`, the known pairs where `f` and `g` differ, the two
+    ///   faces pick the same term (or a `*` pair's `+0.0`), so
+    ///   `S(f) − S(g) = Δ = Σ_{p∈D} (t̂ₚ[c_f] − t̂ₚ[c_g])`. If `D` is
+    ///   empty, both kernels add the same terms in the same order: the
+    ///   sums are the same bits.
+    /// * The screen takes `Δ̂`, that sum in floats, in pair order (any
+    ///   order would do), and `Â`, the float sum of
+    ///   `t̂ₚ[c_f] + t̂ₚ[c_g]` over `D`. With `A` its exact value,
+    ///   `|Δ̂ − Δ| ≤ γ_{|D|+1}·A`.
+    /// * So `F(f) − F(g) ≥ Δ̂ − γ_{N+1}·(8K + A)`: if
+    ///   `Δ̂ > γ_{N+1}·(8K + A)`, `f` is strictly farther and can neither
+    ///   win nor tie `g`. Symmetrically, `Δ̂ < −γ_{N+1}·(8K + A)` makes
+    ///   `f` strictly nearer.
+    ///
+    /// The margin taken is the more generous `4(N + 4)·u·(8K + 2Â)`:
+    /// `2Â ≥ A` (Â is within a factor `1 ± γ_{|D|}` of `A`), and the five
+    /// roundings of the margin's own evaluation lose less than the factor
+    /// of two between `4(N + 4)·u` and `2(N + 1)·u ≥ γ_{N+1}`. A `Δ̂`
+    /// inside the margin, a real near-tie, returns `None`.
+    ///
+    /// The work is `O(words + |D|)`: one XOR sweep over the two faces'
+    /// planes, then one term pair per differing known pair — 60 of 4 950
+    /// pairs on average between faces a climb compares at 100 nodes and
+    /// 1 m cells. The exact sum itself stays strictly sequential in pair
+    /// order, because that order is what makes it bit-identical to
+    /// [`difference_norm_squared`](crate::vector::difference_norm_squared).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query is ternary, its dimension differs, or a face
+    /// is out of range.
+    pub(crate) fn screen_extended(
+        &self,
+        f: usize,
+        g: usize,
+        query: &PackedQuery,
+    ) -> Option<std::cmp::Ordering> {
+        use std::cmp::Ordering;
+        assert_eq!(query.dim, self.dim, "query/plane dimension mismatch");
+        let QueryKind::Extended { terms, present } = query.kind() else {
+            panic!("the screen is for extended queries");
+        };
+        let (fp, fm) = self.slot_planes(self.slot(f));
+        let (gp, gm) = self.slot_planes(self.slot(g));
+        // Component −1, 0, +1 → term index 0, 1, 2.
+        let pick = |p: u64, m: u64, b: u32| (1 + (p >> b & 1) - (m >> b & 1)) as usize;
+        let (mut delta, mut abs, mut differ) = (0.0f64, 0.0f64, false);
+        for (w, &known) in present.iter().enumerate() {
+            let mut d = ((fp[w] ^ gp[w]) | (fm[w] ^ gm[w])) & known;
+            differ |= d != 0;
+            while d != 0 {
+                let b = d.trailing_zeros();
+                d &= d - 1;
+                let t = &terms[w * 64 + b as usize];
+                let (tf, tg) = (t[pick(fp[w], fm[w], b)], t[pick(gp[w], gm[w], b)]);
+                delta += tf - tg;
+                abs += tf + tg;
+            }
+        }
+        if !differ {
+            return Some(Ordering::Equal);
+        }
+        let n = self.dim as f64;
+        let k = (self.dim - query.unknown) as f64;
+        let margin = 4.0 * (n + 4.0) * (f64::EPSILON / 2.0) * (8.0 * k + 2.0 * abs);
+        if delta > margin {
+            Some(Ordering::Greater)
+        } else if delta < -margin {
+            Some(Ordering::Less)
+        } else {
+            None
+        }
+    }
 }
 
 /// A round's sampling vector packed for the plane kernels.
@@ -887,10 +978,14 @@ impl SignaturePlanes {
 pub struct PackedQuery {
     dim: usize,
     extended: bool,
-    /// Bit `i` set where component `i` is `+1` / `−1` / known. Only
-    /// meaningful in the ternary form.
+    /// Bit `i` set where component `i` is `+1` / `−1`. Only meaningful in
+    /// the ternary form.
     plus: Vec<u64>,
     minus: Vec<u64>,
+    /// Bit `i` set where component `i` is known (not `*`), in both forms.
+    /// An extended query's climb screens faces by the known pairs where
+    /// they differ; every pair outside the mask has the term row
+    /// `[+0.0; 3]`.
     present: Vec<u64>,
     /// Indices of the words with any present pair, used only when the
     /// query is sparse enough (`sparse`: ≤ ¼ of the words nonzero) that
@@ -930,6 +1025,7 @@ enum QueryKind<'a> {
     },
     Extended {
         terms: &'a [[f64; 3]],
+        present: &'a [u64],
     },
 }
 
@@ -968,7 +1064,10 @@ impl PackedQuery {
             }
             q.finish_ternary();
         } else {
-            let QueryParts { terms, .. } = q.reset(dim);
+            let QueryParts { present, terms, .. } = q.reset(dim);
+            for (i, c) in v.components().iter().enumerate() {
+                present[i / 64] |= u64::from(c.is_some()) << (i % 64);
+            }
             terms.extend(v.components().iter().map(|&c| component_terms(c)));
             let zeros = v.components().iter().filter(|c| **c == Some(0.0)).count();
             q.finish_extended(v.unknown_count(), zeros);
@@ -1020,10 +1119,24 @@ impl PackedQuery {
         self.zeros = zeros;
     }
 
-    /// Completes an extended query whose `terms` the writer filled, one
-    /// entry per pair, with its `*` and zero counts.
+    /// Completes an extended query whose `terms` and `present` mask the
+    /// writer filled, one term row per pair, with its `*` and zero counts.
     pub(crate) fn finish_extended(&mut self, unknown: usize, zeros: usize) {
         debug_assert_eq!(self.terms.len(), self.dim, "one term row per pair");
+        debug_assert!(
+            self.terms.iter().enumerate().all(|(i, t)| {
+                self.present[i / 64] >> (i % 64) & 1 == 1 || t.iter().all(|x| x.to_bits() == 0)
+            }),
+            "a `*` pair's terms are all +0.0"
+        );
+        debug_assert_eq!(
+            self.present
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>(),
+            self.dim - unknown,
+            "the known-pair mask counts the known pairs"
+        );
         self.extended = true;
         self.unknown = unknown;
         self.zeros = zeros;
@@ -1033,7 +1146,10 @@ impl PackedQuery {
     #[inline]
     fn kind(&self) -> QueryKind<'_> {
         if self.extended {
-            QueryKind::Extended { terms: &self.terms }
+            QueryKind::Extended {
+                terms: &self.terms,
+                present: &self.present,
+            }
         } else {
             QueryKind::Ternary {
                 plus: &self.plus,
@@ -1059,6 +1175,12 @@ impl PackedQuery {
     /// an extended one.
     pub fn ternary_planes(&self) -> Option<(&[u64], &[u64], &[u64])> {
         (!self.extended).then_some((&self.plus[..], &self.minus[..], &self.present[..]))
+    }
+
+    /// The known-pair mask: bit `i` set where component `i` is not `*`,
+    /// in both forms.
+    pub fn known_mask(&self) -> &[u64] {
+        &self.present
     }
 
     /// The per-pair `[c = −1, 0, +1]` terms of an extended query, `None`
@@ -1244,6 +1366,50 @@ mod tests {
             planes.memory_bytes(),
             planes_bytes + envelopes + order_and_slots + boundaries
         );
+    }
+
+    /// The screen decides a clear gap, calls faces that differ only in
+    /// `*` pairs equal, and sends a `Δ̂ = 0` case — a query value of `0`
+    /// where one face reads `+1` and the other `−1` — to the exact
+    /// comparison: the margin is positive even when the differing terms
+    /// cancel.
+    #[test]
+    fn screen_decides_gaps_and_defers_cancelling_pairs() {
+        use std::cmp::Ordering;
+        let sigs = vec![
+            SignatureVector::new(vec![1, 0, -1, 1]),
+            SignatureVector::new(vec![-1, 0, -1, 1]),
+            SignatureVector::new(vec![-1, 0, -1, -1]),
+            SignatureVector::new(vec![1, 0, -1, -1]),
+        ];
+        let planes = planes_of(&sigs);
+        let q = PackedQuery::new(&SamplingVector::new(vec![
+            Some(0.0),
+            Some(0.25),
+            Some(-0.5),
+            None,
+        ]));
+        assert_eq!(q.known_mask(), &[0b0111]);
+        let exact = |f: usize| planes.distance_squared(f, &q);
+        // Faces 0 and 1 differ in pair 0 only, where the query's `0`
+        // charges `+1` and `−1` alike: Δ̂ = 0, so only the sums can tell.
+        assert_eq!(planes.screen_extended(0, 1, &q), None);
+        assert_eq!(exact(0).to_bits(), exact(1).to_bits());
+        // Faces 1 and 2 differ only in the `*` pair 3: the same bits.
+        assert_eq!(planes.screen_extended(1, 2, &q), Some(Ordering::Equal));
+        assert_eq!(exact(1).to_bits(), exact(2).to_bits());
+        // Faces 2 and 3 differ in pair 0 (cancelling) and pair 3 (`*`).
+        assert_eq!(planes.screen_extended(2, 3, &q), None);
+        // A clear gap: pair 2 at −0.5 charges face 1's `+1` 2.25, face
+        // 0's `−1` 0.25.
+        let sigs = vec![
+            SignatureVector::new(vec![1, 0, -1, 1]),
+            SignatureVector::new(vec![1, 0, 1, 1]),
+        ];
+        let planes = planes_of(&sigs);
+        assert_eq!(planes.screen_extended(0, 1, &q), Some(Ordering::Less));
+        assert_eq!(planes.screen_extended(1, 0, &q), Some(Ordering::Greater));
+        assert!(planes.distance_squared(0, &q) < planes.distance_squared(1, &q));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! sampling vector gives — `PackedQuery::new` of the (projected)
 //! `basic_sampling_vector` / `extended_sampling_vector` — plane word for
 //! plane word, extended term for term (compared by `to_bits`), in the same
-//! ternary or extended form and with the same `*` and zero counts.
+//! ternary or extended form, with the same known-pair mask in both forms
+//! and the same `*` and zero counts.
 //!
 //! Node counts straddle the 64-bit word boundaries of both the per-node
 //! sets (64, 65, 66, 129) and the pair planes; groupings carry missing
@@ -123,6 +124,11 @@ fn assert_same(kernel: &PackedQuery, reference: &PackedQuery, what: &str) {
                 assert_eq!(x, y, "{what}: {name} word {w}: {x:#018x} != {y:#018x}");
             }
         }
+    }
+    let (kk, rk) = (kernel.known_mask(), reference.known_mask());
+    assert_eq!(kk.len(), rk.len(), "{what}: known-mask words");
+    for (w, (x, y)) in kk.iter().zip(rk).enumerate() {
+        assert_eq!(x, y, "{what}: known-mask word {w}: {x:#018x} != {y:#018x}");
     }
     if let Some(kt) = kernel.extended_terms() {
         let rt = reference.extended_terms().expect("same form");

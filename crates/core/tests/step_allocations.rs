@@ -11,7 +11,7 @@
 //! seen, so the harness's other threads cannot disturb the numbers.
 
 use fttt::session::{SessionOptions, TrackingSession};
-use fttt::tracker::{Tracker, TrackerOptions};
+use fttt::tracker::{Matching, Tracker, TrackerOptions};
 use fttt::PaperParams;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -67,7 +67,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 /// Allocations of the fourth of four steps on groupings sampled near one
 /// spot: the first three warm the session and the thread's buffers.
-fn warm_step_allocations(nodes: usize, extended: bool) -> usize {
+fn warm_step_allocations(nodes: usize, extended: bool, matching: Matching) -> usize {
     let params = PaperParams::default().with_nodes(nodes).with_cell_size(2.0);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let field = params.random_field(&mut rng);
@@ -75,7 +75,8 @@ fn warm_step_allocations(nodes: usize, extended: bool) -> usize {
     let sampler = params.sampler();
     let options = TrackerOptions {
         extended,
-        ..TrackerOptions::heuristic()
+        matching,
+        ..TrackerOptions::default()
     };
     let mut session = TrackingSession::new(Tracker::new(map, options), SessionOptions::new(5));
     let groups: Vec<_> = (0..4)
@@ -91,16 +92,36 @@ fn warm_step_allocations(nodes: usize, extended: bool) -> usize {
 
 #[test]
 fn warm_steps_allocate_only_the_tie_list() {
+    let heuristic = TrackerOptions::heuristic().matching;
     let cases = [(10, false, 1), (10, true, 1), (40, false, 1), (40, true, 1)];
     let counts: Vec<usize> = cases
         .iter()
-        .map(|&(nodes, extended, _)| warm_step_allocations(nodes, extended))
+        .map(|&(nodes, extended, _)| warm_step_allocations(nodes, extended, heuristic))
         .collect();
     for (&(nodes, extended, pinned), &count) in cases.iter().zip(&counts) {
         assert_eq!(
             count, pinned,
             "n = {nodes}, extended = {extended}: {count} allocations per warm step, pinned {pinned} \
              (all cases: {counts:?})"
+        );
+    }
+}
+
+/// An Exhaustive-mode step runs the indexed descent every round; its
+/// frontier heap is the thread's, so the round still allocates only the
+/// tie list.
+#[test]
+fn warm_exhaustive_steps_allocate_only_the_tie_list() {
+    let cases = [(10, false, 1), (10, true, 1), (40, false, 1), (40, true, 1)];
+    let counts: Vec<usize> = cases
+        .iter()
+        .map(|&(nodes, extended, _)| warm_step_allocations(nodes, extended, Matching::Exhaustive))
+        .collect();
+    for (&(nodes, extended, pinned), &count) in cases.iter().zip(&counts) {
+        assert_eq!(
+            count, pinned,
+            "n = {nodes}, extended = {extended}: {count} allocations per warm exhaustive step, \
+             pinned {pinned} (all cases: {counts:?})"
         );
     }
 }
