@@ -7,9 +7,11 @@
 //! the coarse-to-fine chunk index has to deliver sublinear full-accuracy
 //! matching — `indexed` (steady-state mean) and `indexed_p99` (worst
 //! percentile over a 10×10 grid of probe targets) are gated alongside the
-//! linear scan. Every row also times a warm heuristic climb twice, on the
-//! grouping's basic vector (`heuristic_warm`) and on its Definition-10
-//! vector (`heuristic_extended`):
+//! linear scan. Every row also times a warm heuristic
+//! [`Tracker::localize`] twice, on the grouping's basic query
+//! (`heuristic_warm`) and on its Definition-10 query
+//! (`heuristic_extended`); both queries are packed once, off the clock, so
+//! the rows time the climb alone:
 //!
 //! * build reference — a faithful port of the seed's serial
 //!   `FaceMap::build`: rasterize all rows into per-cell `SignatureVector`
@@ -45,15 +47,16 @@
 //! any regression beyond tolerance — the bench-trajectory gate.
 
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
-use fttt::matching::{match_exhaustive, match_heuristic, match_indexed};
-use fttt::sampling::{basic_sampling_vector, extended_sampling_vector, PairEvidence, QueryBuilder};
+use fttt::matching::{match_exhaustive, match_indexed};
+use fttt::sampling::{basic_sampling_vector, PairEvidence, QueryBuilder};
 use fttt::session::{SessionOptions, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
-use fttt::vector::{difference_norm_squared, SamplingVector, SignatureVector};
+use fttt::vector::{difference_norm_squared, PackedQuery, SamplingVector, SignatureVector};
 use fttt_bench::{Cli, Table};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 use wsn_geometry::{CellIndex, Grid, Point, Rect};
 use wsn_network::{Deployment, GroupSampler, GroupSampling, PairIter, SensorField};
@@ -65,16 +68,11 @@ struct Setup {
     field: Rect,
     c: f64,
     cell: f64,
-    map: FaceMap,
-    /// Every face's signature, decoded once for the scalar reference
-    /// matcher (the seed kept one `SignatureVector` per face).
-    signatures: Vec<SignatureVector>,
-    /// The grouping sampled at `truth` (k = 5), its basic vector and its
-    /// Definition-10 vector.
+    /// Shared by every tracker and session a row times: no row copies it.
+    map: Arc<FaceMap>,
+    /// The grouping sampled at a fixed target (k = 5) and its basic vector.
     group: GroupSampling,
     vector: SamplingVector,
-    extended: SamplingVector,
-    truth: Point,
     /// Sampling vectors from a 10×10 grid of probe targets — the p99
     /// population (one steady-state query per distinct target position).
     probes: Vec<SamplingVector>,
@@ -97,20 +95,30 @@ fn setup(n: usize, seed: u64, cell: f64) -> Setup {
         })
         .map(|p| basic_sampling_vector(&sampler.sample(&sensor_field, p, &mut rng)))
         .collect();
-    let signatures = map.faces().iter().map(|f| map.signature(f.id)).collect();
     Setup {
         positions,
         field,
         c,
         cell,
-        map,
-        signatures,
+        map: Arc::new(map),
         vector: basic_sampling_vector(&group),
-        extended: extended_sampling_vector(&group),
         group,
-        truth,
         probes,
     }
+}
+
+/// A heuristic tracker over `s.map` (basic or extended vectors) and the
+/// query it builds from `s.group`. The climb rows time a warm
+/// [`Tracker::localize`] on this prebuilt query, so packing stays off the
+/// clock.
+fn heuristic_tracker(s: &Setup, extended: bool) -> (Tracker, PackedQuery) {
+    let options = TrackerOptions {
+        extended,
+        ..TrackerOptions::heuristic()
+    };
+    let tracker = Tracker::shared(Arc::clone(&s.map), options);
+    let q = tracker.query(&s.group);
+    (tracker, q)
 }
 
 /// Faithful port of the seed's serial `FaceMap::build` (commit db07e20):
@@ -240,7 +248,7 @@ struct RoundCols {
 /// The session is warmed by a few untimed steps of the same grouping, so
 /// every timed step climbs from the face it matched last round.
 fn time_round(s: &Setup, rounds: usize, batch: usize) -> RoundCols {
-    let tracker = Tracker::new(s.map.clone(), TrackerOptions::heuristic());
+    let tracker = Tracker::shared(Arc::clone(&s.map), TrackerOptions::heuristic());
     let mut session = TrackingSession::new(tracker, SessionOptions::new(s.group.instants()));
     for _ in 0..4 {
         session.step(0.0, &s.group);
@@ -440,73 +448,108 @@ fn main() {
         ],
     );
 
-    for n in [10usize, 20, 40] {
-        let s = setup(n, 7, 1.0);
-        let build = time_interleaved_ms(
-            build_rounds,
-            &mut [
-                &mut || {
-                    scalar_reference_build(&s.positions, s.field, s.c, s.cell);
-                },
-                &mut || {
-                    FaceMap::build(&s.positions, s.field, s.c, s.cell);
-                },
-                &mut || {
-                    FaceMap::build_with_threads(&s.positions, s.field, s.c, s.cell, threads);
-                },
-            ],
-        );
-        let build_cols = BuildCols {
-            ref_ms: build[0],
-            serial_ms: build[1],
-            parallel_ms: build[2],
-        };
+    // n ≤ 40 (cell 1 m) also time the build and the seed's scalar matcher
+    // against the packed paths. The scale rows (~4×10⁴ faces each, ~10⁵
+    // combined) build once, untimed, and record match throughput alone,
+    // with the chunk index expected to hold exhaustive-quality matching
+    // under 1 ms at the 99th percentile.
+    for (n, cell) in [(10usize, 1.0), (20, 1.0), (40, 1.0), (100, 0.5), (200, 0.5)] {
+        let s = setup(n, 7, cell);
+        let scale = n >= 100;
+        let build = (!scale).then(|| {
+            let ms = time_interleaved_ms(
+                build_rounds,
+                &mut [
+                    &mut || {
+                        scalar_reference_build(&s.positions, s.field, s.c, s.cell);
+                    },
+                    &mut || {
+                        FaceMap::build(&s.positions, s.field, s.c, s.cell);
+                    },
+                    &mut || {
+                        FaceMap::build_with_threads(&s.positions, s.field, s.c, s.cell, threads);
+                    },
+                ],
+            );
+            BuildCols {
+                ref_ms: ms[0],
+                serial_ms: ms[1],
+                parallel_ms: ms[2],
+            }
+        });
 
         // Matches are microsecond-scale, so each timed round is a batch.
-        let warm = s.map.face_at(s.truth).unwrap();
-        let batch = |r: f64| r / match_batch as f64 * 1e3;
-        let matches = time_interleaved_ms(
-            match_rounds,
-            &mut [
-                &mut || {
-                    for _ in 0..match_batch {
-                        std::hint::black_box(scalar_reference_match(&s.signatures, &s.vector));
-                    }
-                },
-                &mut || {
-                    for _ in 0..match_batch {
-                        std::hint::black_box(match_exhaustive(&s.map, &s.vector));
-                    }
-                },
-                &mut || {
-                    for _ in 0..match_batch {
-                        std::hint::black_box(match_heuristic(&s.map, &s.vector, warm));
-                    }
-                },
-                &mut || {
-                    for _ in 0..match_batch {
-                        std::hint::black_box(match_heuristic(&s.map, &s.extended, warm));
-                    }
-                },
-                &mut || {
-                    for _ in 0..match_batch {
-                        std::hint::black_box(match_indexed(&s.map, &s.vector));
-                    }
-                },
-            ],
-        );
-        let [match_ref_us, match_packed_us, match_heur_us, match_heur_ext_us, match_indexed_us] =
-            [0, 1, 2, 3, 4].map(|i| batch(matches[i]));
+        let (rounds, batch) = if scale {
+            (big_match_rounds, big_match_batch)
+        } else {
+            (match_rounds, match_batch)
+        };
+        // The scalar reference matcher reads every face's signature,
+        // decoded once (the seed kept one `SignatureVector` per face).
+        let signatures: Vec<SignatureVector> = if scale {
+            Vec::new()
+        } else {
+            s.map
+                .faces()
+                .iter()
+                .map(|f| s.map.signature(f.id))
+                .collect()
+        };
+        let (mut basic, basic_q) = heuristic_tracker(&s, false);
+        let (mut extended, extended_q) = heuristic_tracker(&s, true);
+        let mut reference = || {
+            for _ in 0..batch {
+                std::hint::black_box(scalar_reference_match(&signatures, &s.vector));
+            }
+        };
+        let mut exhaustive = || {
+            for _ in 0..batch {
+                std::hint::black_box(match_exhaustive(&s.map, &s.vector));
+            }
+        };
+        let mut heuristic = || {
+            for _ in 0..batch {
+                std::hint::black_box(basic.localize(&basic_q));
+            }
+        };
+        let mut heuristic_extended = || {
+            for _ in 0..batch {
+                std::hint::black_box(extended.localize(&extended_q));
+            }
+        };
+        let mut indexed = || {
+            for _ in 0..batch {
+                std::hint::black_box(match_indexed(&s.map, &s.vector));
+            }
+        };
+        let mut candidates: Vec<&mut dyn FnMut()> = vec![
+            &mut exhaustive,
+            &mut heuristic,
+            &mut heuristic_extended,
+            &mut indexed,
+        ];
+        if !scale {
+            candidates.insert(0, &mut reference);
+        }
+        let mut us: Vec<f64> = time_interleaved_ms(rounds, &mut candidates)
+            .into_iter()
+            .map(|r| r / batch as f64 * 1e3)
+            .collect();
+        let match_ref_us = (!scale).then(|| us.remove(0));
+        let [match_packed_us, match_heur_us, match_heur_ext_us, match_indexed_us] = us[..] else {
+            unreachable!("four packed candidates")
+        };
         let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
         let round = time_round(&s, match_rounds, round_batch);
 
+        let cols = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
         table.row(&[
             n.to_string(),
             s.map.face_count().to_string(),
-            format!("{:.1}", build_cols.ref_ms),
-            format!("{:.1}", build_cols.serial_ms),
-            format!("{:.1}", build_cols.parallel_ms),
-            format!("{match_ref_us:.1}"),
+            cols(build.as_ref().map(|b| b.ref_ms)),
+            cols(build.as_ref().map(|b| b.serial_ms)),
+            cols(build.as_ref().map(|b| b.parallel_ms)),
+            cols(match_ref_us),
             format!("{match_packed_us:.1}"),
             format!("{match_heur_us:.1}"),
             format!("{match_heur_ext_us:.1}"),
@@ -521,79 +564,8 @@ fn main() {
             n,
             faces: s.map.face_count(),
             cell_m: s.cell,
-            build: Some(build_cols),
-            match_ref_us: Some(match_ref_us),
-            match_packed_us,
-            match_heur_us,
-            match_heur_ext_us,
-            match_indexed_us,
-            match_indexed_p99_us,
-            round,
-        });
-        eprintln!("[perf_snapshot] n = {n} done");
-    }
-
-    // Scale rows: ~4×10⁴ faces each (~10⁵ combined). The build runs once,
-    // untimed; only match throughput is recorded and gated, with the
-    // chunk index expected to hold exhaustive-quality matching under 1 ms
-    // at the 99th percentile.
-    for n in [100usize, 200] {
-        let s = setup(n, 7, 0.5);
-        let warm = s.map.face_at(s.truth).unwrap();
-        let batch = |r: f64| r / big_match_batch as f64 * 1e3;
-        let matches = time_interleaved_ms(
-            big_match_rounds,
-            &mut [
-                &mut || {
-                    for _ in 0..big_match_batch {
-                        std::hint::black_box(match_exhaustive(&s.map, &s.vector));
-                    }
-                },
-                &mut || {
-                    for _ in 0..big_match_batch {
-                        std::hint::black_box(match_heuristic(&s.map, &s.vector, warm));
-                    }
-                },
-                &mut || {
-                    for _ in 0..big_match_batch {
-                        std::hint::black_box(match_heuristic(&s.map, &s.extended, warm));
-                    }
-                },
-                &mut || {
-                    for _ in 0..big_match_batch {
-                        std::hint::black_box(match_indexed(&s.map, &s.vector));
-                    }
-                },
-            ],
-        );
-        let [match_packed_us, match_heur_us, match_heur_ext_us, match_indexed_us] =
-            [0, 1, 2, 3].map(|i| batch(matches[i]));
-        let match_indexed_p99_us = indexed_p99_us(&s.map, &s.probes, p99_rounds);
-        let round = time_round(&s, match_rounds, round_batch);
-
-        table.row(&[
-            n.to_string(),
-            s.map.face_count().to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!("{match_packed_us:.1}"),
-            format!("{match_heur_us:.1}"),
-            format!("{match_heur_ext_us:.1}"),
-            format!("{match_indexed_us:.1}"),
-            format!("{match_indexed_p99_us:.1}"),
-            format!("{:.1}", round.alg1_reference_us),
-            format!("{:.1}", round.alg1_basic_us),
-            format!("{:.1}", round.alg1_extended_us),
-            format!("{:.1}", round.session_step_us),
-        ]);
-        rows.push(Row {
-            n,
-            faces: s.map.face_count(),
-            cell_m: s.cell,
-            build: None,
-            match_ref_us: None,
+            build,
+            match_ref_us,
             match_packed_us,
             match_heur_us,
             match_heur_ext_us,
@@ -614,8 +586,9 @@ fn main() {
     let repair = {
         let mut s = setup(40, 7, 4.0);
         let faces = s.map.face_count();
-        let incremental = repair_median_us(&mut s.map, 40, RepairMode::Incremental, repair_rounds);
-        let rebuild = repair_median_us(&mut s.map, 40, RepairMode::Rebuild, rebuild_rounds);
+        let map = Arc::make_mut(&mut s.map);
+        let incremental = repair_median_us(map, 40, RepairMode::Incremental, repair_rounds);
+        let rebuild = repair_median_us(map, 40, RepairMode::Rebuild, rebuild_rounds);
         eprintln!("[perf_snapshot] map repair done");
         RepairRow {
             n: 40,
@@ -677,18 +650,20 @@ fn main() {
     for n in [10usize, 20, 40] {
         let s = setup(n, 7, 1.0);
         FaceMap::build_with_threads(&s.positions, s.field, s.c, s.cell, threads);
-        let warm = s.map.face_at(s.truth).unwrap();
         std::hint::black_box(match_exhaustive(&s.map, &s.vector));
-        std::hint::black_box(match_heuristic(&s.map, &s.vector, warm));
-        std::hint::black_box(match_heuristic(&s.map, &s.extended, warm));
+        for extended in [false, true] {
+            let (mut tracker, q) = heuristic_tracker(&s, extended);
+            std::hint::black_box(tracker.localize(&q));
+        }
         std::hint::black_box(match_indexed(&s.map, &s.vector));
     }
     {
         // One instrumented death + revive so the `fttt.map.repair.*`
         // counters land in the embedded metrics snapshot.
         let mut s = setup(40, 7, 4.0);
-        std::hint::black_box(s.map.kill_node(7, RepairMode::Incremental));
-        std::hint::black_box(s.map.revive_node(7, RepairMode::Incremental));
+        let map = Arc::make_mut(&mut s.map);
+        std::hint::black_box(map.kill_node(7, RepairMode::Incremental));
+        std::hint::black_box(map.revive_node(7, RepairMode::Incremental));
     }
     wsn_telemetry::uninstall();
     let metrics = registry.snapshot();

@@ -22,52 +22,10 @@ use crate::robustness::{
     campaign_cells, campaign_checksum, run_campaign_stats, CampaignConfig, CampaignKind,
 };
 use fttt::replay::digest_hex;
+use fttt::session::{SessionRound, ROUND_EVENT};
 use wsn_telemetry::json::{self, JsonValue};
 use wsn_telemetry::trace::parse_journal;
 use wsn_telemetry::Journal;
-
-/// One recorded `fttt.session.round` event, field-for-field.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedRound {
-    /// Simulation time, seconds.
-    pub t: f64,
-    /// Status before the round's checks.
-    pub status_before: String,
-    /// Status after.
-    pub status: String,
-    /// Judged cause label.
-    pub cause: String,
-    /// Blackout hold?
-    pub blackout: bool,
-    /// Check verdicts.
-    pub stranded: bool,
-    /// See [`fttt::session::RoundTrace`].
-    pub starved: bool,
-    /// See [`fttt::session::RoundTrace`].
-    pub teleported: bool,
-    /// Estimate held rather than fresh?
-    pub held: bool,
-    /// Forced exhaustive re-acquisition?
-    pub reacquired: bool,
-    /// Missing fraction of the sampling vector.
-    pub missing: f64,
-    /// Zero fraction among known components.
-    pub zeros: f64,
-    /// Sampling times used this round.
-    pub k: u64,
-    /// Sampling times requested for the next round.
-    pub k_after: u64,
-    /// Estimate coordinates.
-    pub x: f64,
-    /// Estimate coordinates.
-    pub y: f64,
-    /// 1-based matched face, 0 = blackout hold.
-    pub face: u64,
-    /// Match similarity. `None` on blackout holds *and* for non-finite
-    /// similarities (a perfect match scores +inf, which JSON cannot
-    /// carry — it serializes as null).
-    pub similarity: Option<f64>,
-}
 
 /// One recorded `fttt.campaign.trial` event.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,8 +53,9 @@ pub struct RecordedCampaign {
     pub map_digest: u64,
     /// Per-trial records keyed by stable session id.
     pub trials: BTreeMap<u64, RecordedTrial>,
-    /// Per-round records keyed by `(session id, round index)`.
-    pub rounds: BTreeMap<(u64, u64), RecordedRound>,
+    /// Per-round records keyed by `(session id, round index)`, decoded by
+    /// [`SessionRound::from_journal`].
+    pub rounds: BTreeMap<(u64, u64), SessionRound>,
 }
 
 /// Parses a journal serialization into a [`RecordedCampaign`].
@@ -110,8 +69,7 @@ pub fn parse_recording(text: &str) -> Result<RecordedCampaign, String> {
     let mut trials = BTreeMap::new();
     let mut rounds = BTreeMap::new();
     for event in &events {
-        // Every form nests the payload under "args"; the JSONL forms keep
-        // the round index at the event root, Chrome keeps it in "args".
+        // Every form nests the payload under "args".
         let args = event.get("args").unwrap_or(&JsonValue::Null);
         match event.get("name").and_then(JsonValue::as_str) {
             Some("fttt.campaign.header") => {
@@ -153,14 +111,9 @@ pub fn parse_recording(text: &str) -> Result<RecordedCampaign, String> {
                     },
                 );
             }
-            Some("fttt.session.round") => {
-                let ctx = "session round event";
-                let session = args.req_u64("session", ctx)?;
-                let round = match event.get("round") {
-                    Some(_) => event.req_u64("round", ctx)?,
-                    None => args.req_u64("round", ctx)?,
-                };
-                rounds.insert((session, round), parse_round(args, ctx)?);
+            Some(ROUND_EVENT) => {
+                let (session, round) = SessionRound::from_journal(event)?;
+                rounds.insert((session, round.trace.round), round);
             }
             _ => {}
         }
@@ -173,29 +126,6 @@ pub fn parse_recording(text: &str) -> Result<RecordedCampaign, String> {
         map_digest,
         trials,
         rounds,
-    })
-}
-
-fn parse_round(args: &JsonValue, ctx: &str) -> Result<RecordedRound, String> {
-    Ok(RecordedRound {
-        t: args.req_f64("t", ctx)?,
-        status_before: args.req_str("status_before", ctx)?.into(),
-        status: args.req_str("status", ctx)?.into(),
-        cause: args.req_str("cause", ctx)?.into(),
-        blackout: args.req_bool("blackout", ctx)?,
-        stranded: args.req_bool("stranded", ctx)?,
-        starved: args.req_bool("starved", ctx)?,
-        teleported: args.req_bool("teleported", ctx)?,
-        held: args.req_bool("held", ctx)?,
-        reacquired: args.req_bool("reacquired", ctx)?,
-        missing: args.req_f64("missing", ctx)?,
-        zeros: args.req_f64("zeros", ctx)?,
-        k: args.req_u64("k", ctx)?,
-        k_after: args.req_u64("k_after", ctx)?,
-        x: args.req_f64("x", ctx)?,
-        y: args.req_f64("y", ctx)?,
-        face: args.req_u64("face", ctx)?,
-        similarity: args.get("similarity").and_then(JsonValue::as_f64),
     })
 }
 
@@ -234,10 +164,6 @@ impl ReplayReport {
     pub fn is_faithful(&self) -> bool {
         self.divergences.is_empty()
     }
-}
-
-fn bits_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
 }
 
 /// Re-runs the recorded campaign from its header and diffs every round
@@ -316,7 +242,7 @@ pub fn replay_and_diff(rec: &RecordedCampaign) -> Result<ReplayReport, String> {
     })
 }
 
-type RoundMap = BTreeMap<(u64, u64), RecordedRound>;
+type RoundMap = BTreeMap<(u64, u64), SessionRound>;
 
 fn diff_session(
     session: u64,
@@ -325,11 +251,7 @@ fn diff_session(
     live_rounds: &RoundMap,
     divergences: &mut Vec<Divergence>,
 ) {
-    let push = |divergences: &mut Vec<Divergence>,
-                round: Option<u64>,
-                field: &str,
-                recorded: String,
-                live: String| {
+    let mut push = |round, field: &str, (recorded, live): (String, String)| {
         divergences.push(Divergence {
             session,
             round,
@@ -342,119 +264,45 @@ fn diff_session(
     // is reported and the rest of that round skipped (one cause per
     // round keeps the report readable — downstream fields of the same
     // round almost always disagree too).
-    let recorded: Vec<(&(u64, u64), &RecordedRound)> = rec
-        .rounds
-        .range((session, 0)..=(session, u64::MAX))
-        .collect();
-    let max_round = recorded
-        .iter()
-        .map(|((_, r), _)| *r + 1)
-        .max()
-        .unwrap_or(0)
-        .max(
-            live_rounds
-                .range((session, 0)..=(session, u64::MAX))
-                .map(|((_, r), _)| *r + 1)
-                .max()
-                .unwrap_or(0),
-        );
-    for round in 0..max_round {
+    let end = |m: &RoundMap| {
+        m.range((session, 0)..=(session, u64::MAX))
+            .next_back()
+            .map_or(0, |((_, r), _)| r + 1)
+    };
+    for round in 0..end(&rec.rounds).max(end(live_rounds)) {
         let key = (session, round);
-        match (rec.rounds.get(&key), live_rounds.get(&key)) {
-            (Some(a), Some(b)) => {
-                if let Some((field, rec_v, live_v)) = first_field_diff(a, b) {
-                    push(divergences, Some(round), field, rec_v, live_v);
-                }
-            }
-            (Some(_), None) => push(
-                divergences,
-                Some(round),
-                "presence",
-                "recorded".into(),
-                "absent from live run".into(),
-            ),
-            (None, Some(_)) => push(
-                divergences,
-                Some(round),
-                "presence",
-                "absent from recording".into(),
-                "live run produced it".into(),
-            ),
-            (None, None) => {}
+        let diff = match (rec.rounds.get(&key), live_rounds.get(&key)) {
+            (Some(a), Some(b)) => a
+                .first_journal_difference(b)
+                .map(|(field, a, b)| (field, (a, b))),
+            (a, b) => presence(a, b).map(|p| ("presence", p)),
+        };
+        if let Some((field, values)) = diff {
+            push(Some(round), field, values);
         }
     }
     // Trial digests: the strongest per-trial check (covers regime/world
     // state the round events do not carry).
-    match (rec.trials.get(&session), live_trials.get(&session)) {
-        (Some(a), Some(b)) if a.digest != b.digest => push(
-            divergences,
-            None,
-            "trial digest",
-            digest_hex(a.digest),
-            digest_hex(b.digest),
-        ),
-        (Some(_), None) => push(
-            divergences,
-            None,
-            "trial",
-            "recorded".into(),
-            "absent from live run".into(),
-        ),
-        (None, Some(_)) => push(
-            divergences,
-            None,
-            "trial",
-            "absent from recording".into(),
-            "live run produced it".into(),
-        ),
-        _ => {}
+    let diff = match (rec.trials.get(&session), live_trials.get(&session)) {
+        (Some(a), Some(b)) => (a.digest != b.digest)
+            .then(|| ("trial digest", (digest_hex(a.digest), digest_hex(b.digest)))),
+        (a, b) => presence(a, b).map(|p| ("trial", p)),
+    };
+    if let Some((field, values)) = diff {
+        push(None, field, values);
     }
 }
 
-/// The first disagreeing field of a round, in the digest's canonical
-/// field order. Floats compare by bit pattern — the journal's exact
-/// shortest-round-trip formatting makes that meaningful.
-fn first_field_diff(
-    a: &RecordedRound,
-    b: &RecordedRound,
-) -> Option<(&'static str, String, String)> {
-    macro_rules! check {
-        ($field:ident, $eq:expr, $fmt:expr) => {
-            if !$eq(&a.$field, &b.$field) {
-                return Some((stringify!($field), $fmt(&a.$field), $fmt(&b.$field)));
-            }
-        };
+/// The (recorded, live) renderings of a record only one side holds.
+fn presence<A, B>(recorded: Option<A>, live: Option<B>) -> Option<(String, String)> {
+    match (recorded.is_some(), live.is_some()) {
+        (true, false) => Some(("recorded".into(), "absent from live run".into())),
+        (false, true) => Some((
+            "absent from recording".into(),
+            "live run produced it".into(),
+        )),
+        _ => None,
     }
-    let feq = |x: &f64, y: &f64| bits_eq(*x, *y);
-    let ffmt = |x: &f64| format!("{x}");
-    let seq = |x: &String, y: &String| x == y;
-    let sfmt = |x: &String| x.clone();
-    let beq = |x: &bool, y: &bool| x == y;
-    let bfmt = |x: &bool| x.to_string();
-    let ueq = |x: &u64, y: &u64| x == y;
-    let ufmt = |x: &u64| x.to_string();
-    check!(t, feq, ffmt);
-    check!(status_before, seq, sfmt);
-    check!(status, seq, sfmt);
-    check!(cause, seq, sfmt);
-    check!(face, ueq, ufmt);
-    check!(x, feq, ffmt);
-    check!(y, feq, ffmt);
-    check!(blackout, beq, bfmt);
-    check!(stranded, beq, bfmt);
-    check!(starved, beq, bfmt);
-    check!(teleported, beq, bfmt);
-    check!(held, beq, bfmt);
-    check!(reacquired, beq, bfmt);
-    check!(missing, feq, ffmt);
-    check!(zeros, feq, ffmt);
-    check!(k, ueq, ufmt);
-    check!(k_after, ueq, ufmt);
-    if a.similarity.map(f64::to_bits) != b.similarity.map(f64::to_bits) {
-        let fmt = |s: &Option<f64>| s.map_or("none".to_string(), |v| format!("{v}"));
-        return Some(("similarity", fmt(&a.similarity), fmt(&b.similarity)));
-    }
-    None
 }
 
 /// The baseline key a `(config, campaign kind)` pair maps to in the
@@ -623,38 +471,36 @@ mod tests {
 
     #[test]
     fn first_field_diff_reports_in_canonical_order() {
-        let base = RecordedRound {
-            t: 1.0,
-            status_before: "Tracking".into(),
-            status: "Tracking".into(),
-            cause: "healthy".into(),
-            blackout: false,
-            stranded: false,
-            starved: false,
-            teleported: false,
-            held: false,
-            reacquired: false,
-            missing: 0.0,
-            zeros: 0.0,
-            k: 5,
-            k_after: 5,
-            x: 10.0,
-            y: 20.0,
-            face: 3,
-            similarity: Some(0.9),
-        };
-        assert_eq!(first_field_diff(&base, &base), None);
+        use fttt::session::TrackStatus;
+        // A healthy round as one line of a JSONL journal.
+        let line = r#"{"name":"fttt.session.round","round":0,"args":{"session":1,"t":1,
+            "status_before":"Tracking","status":"Tracking","cause":"healthy","blackout":false,
+            "stranded":false,"starved":false,"teleported":false,"missing":0,"zeros":0,"k":5,
+            "k_after":5,"held":false,"reacquired":false,"x":10,"y":20,"face":3,"similarity":0.9}}"#;
+        let (_, base) = SessionRound::from_journal(&JsonValue::parse(line).unwrap()).unwrap();
+        assert_eq!(base.first_journal_difference(&base), None);
         // status diverges before x in the canonical order even when both
         // disagree.
         let mut b = base.clone();
-        b.status = "Lost".into();
-        b.x = 11.0;
-        let (field, rec, live) = first_field_diff(&base, &b).unwrap();
+        b.status = TrackStatus::Lost;
+        b.estimate.x = 11.0;
+        let (field, rec, live) = base.first_journal_difference(&b).unwrap();
         assert_eq!(field, "status");
         assert_eq!((rec.as_str(), live.as_str()), ("Tracking", "Lost"));
+        // Faces render 1-based, as the journal writes them.
+        let mut b = base.clone();
+        b.face = None;
+        assert_eq!(
+            base.first_journal_difference(&b),
+            Some(("face", "3".into(), "0".into()))
+        );
+        // Floats compare by bit pattern: -0.0 is not 0.0.
+        let mut b = base.clone();
+        b.missing_fraction = -0.0;
+        assert_eq!(base.first_journal_difference(&b).unwrap().0, "missing");
         // similarity None vs Some is a divergence, not a wildcard.
         let mut b = base.clone();
         b.similarity = None;
-        assert_eq!(first_field_diff(&base, &b).unwrap().0, "similarity");
+        assert_eq!(base.first_journal_difference(&b).unwrap().0, "similarity");
     }
 }

@@ -5,11 +5,13 @@
 //! test process) so the installed globals can never leak into the
 //! sink-free overhead tests.
 
+use fttt::session::{Cause, SessionRound, ROUND_EVENT};
 use fttt::{match_indexed, FaceMap, SamplingVector};
 use fttt_bench::robustness::{run_custom_schedule, CampaignConfig};
 use std::sync::Arc;
 use wsn_geometry::{Point, Rect};
 use wsn_network::Schedule;
+use wsn_telemetry::json::JsonValue;
 use wsn_telemetry::{Journal, TraceEvent};
 
 #[test]
@@ -105,43 +107,23 @@ fn campaign_populates_every_telemetry_layer() {
         |name: &str| -> Vec<&TraceEvent> { log.events.iter().filter(|e| e.name == name).collect() };
     // Session layer: one round event per session round, carrying the
     // explainability args the `explain` subcommand renders.
-    let rounds = named("fttt.session.round");
+    let rounds = named(ROUND_EVENT);
     assert_eq!(
         rounds.len() as u64,
         counter("fttt.session.rounds"),
         "every metrics-counted round must also be journaled"
     );
-    for r in &rounds {
-        for key in [
-            "t",
-            "status_before",
-            "status",
-            "cause",
-            "missing",
-            "k_after",
-        ] {
-            assert!(
-                r.args.iter().any(|(k, _)| *k == key),
-                "round event lacks `{key}`: {:?}",
-                r.args
-            );
-        }
-    }
-    fn cause_of(e: &TraceEvent) -> Option<&str> {
-        e.args
-            .iter()
-            .find(|(k, _)| *k == "cause")
-            .and_then(|(_, v)| {
-                if let wsn_telemetry::ArgValue::Str(s) = v {
-                    Some(s.as_str())
-                } else {
-                    None
-                }
-            })
-    }
-    // The 6 s outage must surface as blackout-caused rounds.
+    // Every round event decodes through the one journal schema, and the
+    // 6 s outage surfaces as blackout-caused rounds.
+    let (events, _) = wsn_telemetry::trace::parse_journal(&log.to_jsonl()).unwrap();
+    let causes: Vec<Cause> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some(ROUND_EVENT))
+        .map(|e| SessionRound::from_journal(e).unwrap().1.trace.cause)
+        .collect();
+    assert_eq!(causes.len(), rounds.len());
     assert!(
-        rounds.iter().any(|r| cause_of(r) == Some("blackout")),
+        causes.contains(&Cause::Blackout),
         "no blackout-caused round despite the outage window"
     );
     // Matcher + sampler + regime layers journal instants too.

@@ -7,6 +7,7 @@
 //! per-event `args` object in both, so extraction is format-agnostic once
 //! the event objects are in hand.
 
+use fttt::session::{status_name, RepairEvent, SessionRound, REPAIR_EVENT, ROUND_EVENT};
 use wsn_telemetry::json::JsonValue;
 use wsn_telemetry::trace::parse_journal;
 
@@ -39,61 +40,16 @@ impl IndexStats {
     }
 }
 
-/// One `fttt.map.repair` event: a live-churn face-map repair. The epoch
-/// arrives hex-encoded like every other digest in the journal; `epoch`
-/// holds the parsed ordinal when the hex is canonical.
-#[derive(Debug, Clone)]
-pub struct RepairRecord {
-    /// Owning session's process-unique id (0 for traces without one).
-    pub session: u64,
-    /// Simulation time of the churn event.
-    pub t: f64,
-    /// Post-repair map epoch (`None` when the hex field is malformed).
-    pub epoch: Option<u64>,
-    pub node: u64,
-    /// Death when true, (re)birth otherwise.
-    pub death: bool,
-    pub planes_retired: u64,
-    pub planes_added: u64,
-    pub cells_reclassified: u64,
-    pub faces_before: u64,
-    pub faces_after: u64,
-    pub repair_us: f64,
-    /// The session's warm-start face did not survive the repair exactly
-    /// (it re-enters the recovery ladder at a forced re-acquisition).
-    pub face_remapped: bool,
-}
-
-/// One `fttt.session.round` event, decoded from either trace format.
-#[derive(Debug, Clone)]
-pub struct RoundRecord {
-    /// Owning session's process-unique id (0 for old traces without one).
-    pub session: u64,
-    pub round: u64,
-    pub t: f64,
-    pub status_before: String,
-    pub status: String,
-    pub cause: String,
-    pub missing: f64,
-    pub zeros: f64,
-    pub k: u64,
-    pub k_after: u64,
-    pub held: bool,
-    pub reacquired: bool,
-    pub similarity: Option<f64>,
-    /// Indexed-matcher activity journaled since the previous round event
-    /// (matches run *during* a round precede its closing event).
-    pub index: IndexStats,
-}
-
 /// Everything `explain` pulls out of one trace file.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
-    /// Session rounds in journal order.
-    pub rounds: Vec<RoundRecord>,
+    /// Session rounds, ordered by (session, round): the owning session's
+    /// id, the round, and the indexed-matcher activity journaled since the
+    /// previous round event (matches run *during* a round precede it).
+    pub rounds: Vec<(u64, SessionRound, IndexStats)>,
     /// Live-churn face-map repairs, ordered by (session, time) so the
     /// timeline can interleave them with their session's rounds.
-    pub repairs: Vec<RepairRecord>,
+    pub repairs: Vec<RepairEvent>,
     /// Dropped-event count from the journal meta, when present.
     pub dropped: Option<u64>,
     /// Whole-trace indexed-matcher totals (including matches after the
@@ -103,73 +59,12 @@ pub struct TraceSummary {
     pub other_events: Vec<(String, u64)>,
 }
 
-fn str_of(obj: &JsonValue, key: &str) -> Option<String> {
-    obj.get(key).and_then(JsonValue::as_str).map(str::to_owned)
-}
-
-fn f64_of(obj: &JsonValue, key: &str) -> Option<f64> {
-    obj.get(key).and_then(JsonValue::as_f64)
-}
-
-fn bool_of(obj: &JsonValue, key: &str) -> bool {
-    obj.get(key).and_then(JsonValue::as_bool).unwrap_or(false)
-}
-
-/// Decodes one journal event object; `Some` only for session rounds.
-fn round_of(event: &JsonValue) -> Option<RoundRecord> {
-    if str_of(event, "name").as_deref() != Some("fttt.session.round") {
-        return None;
-    }
-    let args = event.get("args")?;
-    // Chrome puts the round ordinal in args, JSONL beside them.
-    let round = args
-        .get("round")
-        .or_else(|| event.get("round"))
-        .and_then(JsonValue::as_u64)?;
-    Some(RoundRecord {
-        session: args.get("session").and_then(JsonValue::as_u64).unwrap_or(0),
-        round,
-        t: f64_of(args, "t")?,
-        status_before: str_of(args, "status_before")?,
-        status: str_of(args, "status")?,
-        cause: str_of(args, "cause")?,
-        missing: f64_of(args, "missing").unwrap_or(0.0),
-        zeros: f64_of(args, "zeros").unwrap_or(0.0),
-        k: args.get("k").and_then(JsonValue::as_u64).unwrap_or(0),
-        k_after: args.get("k_after").and_then(JsonValue::as_u64).unwrap_or(0),
-        held: bool_of(args, "held"),
-        reacquired: bool_of(args, "reacquired"),
-        similarity: f64_of(args, "similarity"),
-        index: IndexStats::default(),
-    })
-}
-
-/// Decodes one journal event object; `Some` only for map repairs.
-fn repair_of(event: &JsonValue) -> Option<RepairRecord> {
-    if str_of(event, "name").as_deref() != Some("fttt.map.repair") {
-        return None;
-    }
-    let args = event.get("args")?;
-    let u = |key| args.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-    Some(RepairRecord {
-        session: u("session"),
-        t: f64_of(args, "t").unwrap_or(0.0),
-        epoch: str_of(args, "epoch")
-            .as_deref()
-            .and_then(wsn_network::replay::parse_digest_hex),
-        node: u("node"),
-        death: bool_of(args, "death"),
-        planes_retired: u("planes_retired"),
-        planes_added: u("planes_added"),
-        cells_reclassified: u("cells"),
-        faces_before: u("faces_before"),
-        faces_after: u("faces_after"),
-        repair_us: f64_of(args, "repair_us").unwrap_or(0.0),
-        face_remapped: bool_of(args, "face_remapped"),
-    })
-}
-
 /// Parses a trace file's text in either format into a [`TraceSummary`].
+///
+/// # Errors
+///
+/// A foreign file, or a round or repair event with a missing or mistyped
+/// field (the error names the event, its position and the field).
 pub fn load(text: &str) -> Result<TraceSummary, String> {
     let (events, dropped) = parse_journal(text)?;
     let mut summary = TraceSummary {
@@ -182,24 +77,29 @@ pub fn load(text: &str) -> Result<TraceSummary, String> {
     // round event claims them. Must happen before the stable sort below —
     // attribution is positional, not keyed.
     let mut pending = IndexStats::default();
-    for event in &events {
-        if str_of(event, "name").as_deref() == Some("fttt.match.index") {
-            pending.absorb(event);
-            summary.index_totals.absorb(event);
-            continue;
-        }
-        if let Some(rep) = repair_of(event) {
-            summary.repairs.push(rep);
-            continue;
-        }
-        if let Some(mut r) = round_of(event) {
-            r.index = std::mem::take(&mut pending);
-            summary.rounds.push(r);
-        } else if let Some(name) = str_of(event, "name") {
-            *counts.entry(name).or_insert(0) += 1;
+    for (i, event) in events.iter().enumerate() {
+        let at = |e: String| format!("journal event {i}: {e}");
+        match event.get("name").and_then(JsonValue::as_str) {
+            Some("fttt.match.index") => {
+                pending.absorb(event);
+                summary.index_totals.absorb(event);
+            }
+            Some(REPAIR_EVENT) => summary
+                .repairs
+                .push(RepairEvent::from_journal(event).map_err(at)?),
+            Some(ROUND_EVENT) => {
+                let (session, round) = SessionRound::from_journal(event).map_err(at)?;
+                summary
+                    .rounds
+                    .push((session, round, std::mem::take(&mut pending)));
+            }
+            Some(name) => *counts.entry(name.to_owned()).or_insert(0) += 1,
+            None => {}
         }
     }
-    summary.rounds.sort_by_key(|r| (r.session, r.round));
+    summary
+        .rounds
+        .sort_by_key(|(session, r, _)| (*session, r.trace.round));
     summary
         .repairs
         .sort_by(|a, b| a.session.cmp(&b.session).then(a.t.total_cmp(&b.t)));
@@ -212,7 +112,7 @@ pub fn load(text: &str) -> Result<TraceSummary, String> {
 /// opening a new per-session block when the timeline crosses sessions.
 fn flush_repairs(
     out: &mut String,
-    repairs: &[RepairRecord],
+    repairs: &[RepairEvent],
     next: &mut usize,
     upto: Option<(u64, f64)>,
     many_sessions: bool,
@@ -230,18 +130,17 @@ fn flush_repairs(
             *current_session = Some(rep.session);
             let _ = writeln!(out, "— session {} —", rep.session);
         }
-        let epoch = rep.epoch.map_or_else(|| "?".to_owned(), |e| e.to_string());
         let _ = writeln!(
             out,
             "churn       t={:>6.1}s  epoch {}: node {} {}, {} planes retired, {} added, \
              {} cells reclassified, faces {} -> {}, repair {:.0} µs{}",
             rep.t,
-            epoch,
+            rep.epoch,
             rep.node,
             if rep.death { "died" } else { "joined" },
             rep.planes_retired,
             rep.planes_added,
-            rep.cells_reclassified,
+            rep.cells,
             rep.faces_before,
             rep.faces_after,
             rep.repair_us,
@@ -273,14 +172,15 @@ pub fn render(summary: &TraceSummary) -> String {
     let sessions: std::collections::BTreeSet<u64> = summary
         .rounds
         .iter()
-        .map(|r| r.session)
+        .map(|(session, _, _)| *session)
         .chain(summary.repairs.iter().map(|r| r.session))
         .collect();
     let many_sessions = sessions.len() > 1;
     let mut current_session = None;
     let mut transitions = 0usize;
     let mut next_repair = 0usize;
-    for r in &summary.rounds {
+    for (session, r, index) in &summary.rounds {
+        let (session, trace) = (*session, &r.trace);
         // Churn repairs interleave with rounds by simulation time: render
         // every repair due at or before this round first (even when the
         // round itself stays silent).
@@ -288,21 +188,25 @@ pub fn render(summary: &TraceSummary) -> String {
             &mut out,
             &summary.repairs,
             &mut next_repair,
-            Some((r.session, r.t)),
+            Some((session, r.t)),
             many_sessions,
             &mut current_session,
         );
         let mut notes = Vec::new();
-        if r.status_before != r.status {
+        if trace.status_before != r.status {
             transitions += 1;
-            notes.push(format!("{} -> {}", r.status_before, r.status));
+            notes.push(format!(
+                "{} -> {}",
+                status_name(trace.status_before),
+                status_name(r.status)
+            ));
         }
-        if r.k_after != r.k {
+        if trace.k_after != r.samples {
             notes.push(format!(
                 "k {} -> {} ({})",
-                r.k,
-                r.k_after,
-                if r.k_after > r.k {
+                r.samples,
+                trace.k_after,
+                if trace.k_after > r.samples {
                     "escalated"
                 } else {
                     "relaxed"
@@ -320,27 +224,27 @@ pub fn render(summary: &TraceSummary) -> String {
         }
         // Only on rounds that already have something to say: pruning
         // effectiveness of the indexed matches that ran inside them.
-        if r.index.matches > 0 {
+        if index.matches > 0 {
             notes.push(format!(
                 "index pruned {}/{} chunks over {} match(es)",
-                r.index.pruned, r.index.chunks, r.index.matches
+                index.pruned, index.chunks, index.matches
             ));
         }
         // Campaign traces interleave many sessions; break the timeline
         // into per-session blocks so round ordinals read coherently (and
         // only for sessions that have something to say).
-        if many_sessions && current_session != Some(r.session) {
-            current_session = Some(r.session);
-            let _ = writeln!(out, "— session {} —", r.session);
+        if many_sessions && current_session != Some(session) {
+            current_session = Some(session);
+            let _ = writeln!(out, "— session {session} —");
         }
         let _ = write!(
             out,
             "round {:>4}  t={:>6.1}s  cause: {:<10}  missing {:>4}, zeros {:>4}",
-            r.round,
+            trace.round,
             r.t,
-            r.cause,
-            pct(r.missing),
-            pct(r.zeros),
+            trace.cause.name(),
+            pct(r.missing_fraction),
+            pct(trace.zero_fraction),
         );
         if let Some(sim) = r.similarity {
             let _ = write!(out, ", sim {sim:.2}");
@@ -364,8 +268,8 @@ pub fn render(summary: &TraceSummary) -> String {
         transitions
     );
     let mut causes = std::collections::BTreeMap::<&str, u64>::new();
-    for r in &summary.rounds {
-        *causes.entry(r.cause.as_str()).or_insert(0) += 1;
+    for (_, r, _) in &summary.rounds {
+        *causes.entry(r.trace.cause.name()).or_insert(0) += 1;
     }
     if !causes.is_empty() {
         let rendered: Vec<String> = causes.iter().map(|(c, n)| format!("{c} x{n}")).collect();
@@ -383,8 +287,8 @@ pub fn render(summary: &TraceSummary) -> String {
             remaps
         );
     }
-    if let Some(last) = summary.rounds.last() {
-        let _ = writeln!(out, "final status: {}", last.status);
+    if let Some((_, last, _)) = summary.rounds.last() {
+        let _ = writeln!(out, "final status: {}", status_name(last.status));
     }
     let ix = &summary.index_totals;
     if ix.matches > 0 {
@@ -458,29 +362,31 @@ pub fn load_wire(text: &str) -> Result<WireTrace, String> {
     let (events, _) = parse_journal(text)?;
     let mut w = WireTrace::default();
     for event in &events {
-        let Some(name) = str_of(event, "name") else {
+        let Some(name) = event.get("name").and_then(JsonValue::as_str) else {
             continue;
         };
         let Some(args) = event.get("args") else {
             continue;
         };
-        let trace = str_of(args, "trace")
-            .as_deref()
+        let trace = args
+            .get("trace")
+            .and_then(JsonValue::as_str)
             .and_then(wsn_network::replay::parse_digest_hex);
         let u = |key: &str| args.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        match name.as_str() {
+        let f = |key: &str| args.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+        match name {
             "fttt.client.push" => w.client_pushes.push(ClientPush {
                 trace,
                 session: u("session"),
                 rounds: u("rounds"),
-                rtt_us: f64_of(args, "rtt_us").unwrap_or(0.0),
+                rtt_us: f("rtt_us"),
             }),
             "fttt.server.push" => w.server_pushes.push(ServerPush {
                 trace,
                 session: u("session"),
                 shard: u("shard"),
                 rounds: u("rounds"),
-                work_us: f64_of(args, "work_us").unwrap_or(0.0),
+                work_us: f("work_us"),
             }),
             "fttt.server.shed" => w.sheds.push(trace),
             "fttt.server.stale_epoch" => {
@@ -750,32 +656,92 @@ pub fn run(path: &std::path::Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fttt::session::{Cause, RoundTrace, TrackStatus};
+    use fttt::FaceId;
+    use wsn_geometry::Point;
     use wsn_telemetry::trace::{ArgValue, Journal, TraceKind};
 
-    /// Builds a journal holding two rounds (one Degraded transition) and an
-    /// unrelated instant, then returns both serializations.
+    use TrackStatus::{Degraded, Tracking};
+
+    /// A complete round `before -> after` judged `cause`, sampled with
+    /// `k = 5`; a blackout is a held round with no match that escalates
+    /// `k` to 7.
+    fn round(
+        round: u64,
+        t: f64,
+        (before, after): (TrackStatus, TrackStatus),
+        cause: Cause,
+    ) -> SessionRound {
+        let blackout = cause == Cause::Blackout;
+        SessionRound {
+            t,
+            estimate: Point::new(50.0, 50.0),
+            status: after,
+            samples: 5,
+            face: (!blackout).then_some(FaceId(3)),
+            similarity: (!blackout).then_some(0.5),
+            missing_fraction: if blackout { 1.0 } else { 0.0 },
+            reacquired: false,
+            held: blackout,
+            trace: RoundTrace {
+                round,
+                status_before: before,
+                cause,
+                blackout,
+                stranded: cause == Cause::Stranded,
+                starved: cause == Cause::Starved,
+                teleported: cause == Cause::Teleported,
+                zero_fraction: 0.25,
+                k_after: if blackout { 7 } else { 5 },
+            },
+        }
+    }
+
+    fn record_round(j: &Journal, session: u64, r: &SessionRound) {
+        let round = r.trace.round;
+        j.record(
+            ROUND_EVENT,
+            TraceKind::Round { round },
+            r.journal_args(session),
+        );
+    }
+
+    fn repair(session: u64, t: f64, epoch: u64, death: bool, remapped: bool) -> RepairEvent {
+        RepairEvent {
+            session,
+            t,
+            epoch,
+            node: 7,
+            death,
+            planes_retired: if death { 12 } else { 0 },
+            planes_added: if death { 9 } else { 14 },
+            cells: 625,
+            faces_before: 841,
+            faces_after: 838,
+            repair_us: 480.2,
+            face_remapped: remapped,
+        }
+    }
+
+    fn record_repair(j: &Journal, event: &RepairEvent) {
+        j.record(REPAIR_EVENT, TraceKind::Instant, event.journal_args());
+    }
+
+    /// The two rounds of [`sample_trace`]: a silent healthy round and a
+    /// blackout that degrades the session and escalates `k`.
+    fn sample_rounds() -> [SessionRound; 2] {
+        [
+            round(0, 0.0, (Tracking, Tracking), Cause::Healthy),
+            round(1, 1.0, (Tracking, Degraded), Cause::Blackout),
+        ]
+    }
+
+    /// Builds a journal holding [`sample_rounds`] and an unrelated
+    /// instant, then returns both serializations.
     fn sample_trace() -> (String, String) {
         let j = Journal::with_capacity(16);
-        for (round, before, after, cause, missing) in [
-            (0u64, "Tracking", "Tracking", "healthy", 0.0),
-            (1, "Tracking", "Degraded", "blackout", 1.0),
-        ] {
-            j.record(
-                "fttt.session.round",
-                TraceKind::Round { round },
-                vec![
-                    ("t", ArgValue::F64(round as f64)),
-                    ("status_before", ArgValue::Str(before.into())),
-                    ("status", ArgValue::Str(after.into())),
-                    ("cause", ArgValue::Str(cause.into())),
-                    ("missing", ArgValue::F64(missing)),
-                    ("zeros", ArgValue::F64(0.25)),
-                    ("k", ArgValue::U64(5)),
-                    ("k_after", ArgValue::U64(if round == 1 { 7 } else { 5 })),
-                    ("held", ArgValue::Bool(round == 1)),
-                    ("reacquired", ArgValue::Bool(false)),
-                ],
-            );
+        for r in &sample_rounds() {
+            record_round(&j, 0, r);
         }
         j.record("fttt.match.exhaustive", TraceKind::Instant, Vec::new());
         let log = j.snapshot();
@@ -787,13 +753,8 @@ mod tests {
         let (chrome, jsonl) = sample_trace();
         for text in [chrome, jsonl] {
             let s = load(&text).unwrap();
-            assert_eq!(s.rounds.len(), 2, "{text}");
-            assert_eq!(s.rounds[1].round, 1);
-            assert_eq!(s.rounds[1].cause, "blackout");
-            assert_eq!(s.rounds[1].status_before, "Tracking");
-            assert_eq!(s.rounds[1].status, "Degraded");
-            assert_eq!(s.rounds[1].k_after, 7);
-            assert!(s.rounds[1].held);
+            let decoded: Vec<SessionRound> = s.rounds.iter().map(|(_, r, _)| r.clone()).collect();
+            assert_eq!(decoded, sample_rounds(), "{text}");
             assert_eq!(s.dropped, Some(0));
             assert_eq!(s.other_events, vec![("fttt.match.exhaustive".into(), 1)]);
         }
@@ -822,21 +783,12 @@ mod tests {
     fn interleaved_sessions_split_into_blocks() {
         let j = Journal::with_capacity(16);
         for session in [3u64, 9] {
-            j.record(
-                "fttt.session.round",
-                TraceKind::Round { round: 0 },
-                vec![
-                    ("session", ArgValue::U64(session)),
-                    ("t", ArgValue::F64(0.0)),
-                    ("status_before", ArgValue::Str("Tracking".into())),
-                    ("status", ArgValue::Str("Degraded".into())),
-                    ("cause", ArgValue::Str("starved".into())),
-                ],
-            );
+            let r = round(0, 0.0, (Tracking, Degraded), Cause::Starved);
+            record_round(&j, session, &r);
         }
         let s = load(&j.snapshot().to_jsonl()).unwrap();
-        assert_eq!(s.rounds[0].session, 3);
-        assert_eq!(s.rounds[1].session, 9);
+        assert_eq!(s.rounds[0].0, 3);
+        assert_eq!(s.rounds[1].0, 9);
         let text = render(&s);
         assert!(text.contains("— session 3 —"), "{text}");
         assert!(text.contains("— session 9 —"), "{text}");
@@ -863,23 +815,12 @@ mod tests {
                 ],
             );
         };
-        let round = |round: u64, status: &str| {
-            j.record(
-                "fttt.session.round",
-                TraceKind::Round { round },
-                vec![
-                    ("t", ArgValue::F64(round as f64)),
-                    ("status_before", ArgValue::Str("Tracking".into())),
-                    ("status", ArgValue::Str(status.into())),
-                    ("cause", ArgValue::Str("healthy".into())),
-                ],
-            );
-        };
+        let healthy = |i: u64, after| round(i, i as f64, (Tracking, after), Cause::Healthy);
         index_instant(10, 2);
         index_instant(10, 3);
-        round(0, "Tracking");
+        record_round(&j, 0, &healthy(0, Tracking));
         index_instant(20, 4);
-        round(1, "Degraded");
+        record_round(&j, 0, &healthy(1, Degraded));
         index_instant(8, 8);
         j.snapshot().to_jsonl()
     }
@@ -889,7 +830,7 @@ mod tests {
         let s = load(&indexed_trace()).unwrap();
         assert_eq!(s.rounds.len(), 2);
         assert_eq!(
-            s.rounds[0].index,
+            s.rounds[0].2,
             IndexStats {
                 matches: 2,
                 chunks: 20,
@@ -898,7 +839,7 @@ mod tests {
             }
         );
         assert_eq!(
-            s.rounds[1].index,
+            s.rounds[1].2,
             IndexStats {
                 matches: 1,
                 chunks: 20,
@@ -936,63 +877,33 @@ mod tests {
         );
     }
 
+    /// The two repairs of [`churn_trace`]: a remapping death at t = 5 and
+    /// a birth at t = 15.
+    fn churn_repairs() -> [RepairEvent; 2] {
+        [
+            repair(0, 5.0, 3, true, true),
+            repair(0, 15.0, 4, false, false),
+        ]
+    }
+
     /// A journal interleaving churn repairs with rounds: a silent round,
     /// a death repair (t between the rounds), a transition round, then a
     /// birth repair after the final round (flushed by the trailing drain).
     fn churn_trace() -> String {
         let j = Journal::with_capacity(32);
-        let round = |round: u64, status: &str| {
-            j.record(
-                "fttt.session.round",
-                TraceKind::Round { round },
-                vec![
-                    ("t", ArgValue::F64(round as f64 * 10.0)),
-                    ("status_before", ArgValue::Str("Tracking".into())),
-                    ("status", ArgValue::Str(status.into())),
-                    ("cause", ArgValue::Str("healthy".into())),
-                ],
-            );
-        };
-        let repair = |t: f64, epoch: &str, node: u64, death: bool, remapped: bool| {
-            j.record(
-                "fttt.map.repair",
-                TraceKind::Instant,
-                vec![
-                    ("t", ArgValue::F64(t)),
-                    ("epoch", ArgValue::Str(epoch.into())),
-                    ("node", ArgValue::U64(node)),
-                    ("death", ArgValue::Bool(death)),
-                    ("planes_retired", ArgValue::U64(if death { 12 } else { 0 })),
-                    ("planes_added", ArgValue::U64(if death { 9 } else { 14 })),
-                    ("cells", ArgValue::U64(625)),
-                    ("faces_before", ArgValue::U64(841)),
-                    ("faces_after", ArgValue::U64(838)),
-                    ("repair_us", ArgValue::F64(480.2)),
-                    ("face_remapped", ArgValue::Bool(remapped)),
-                ],
-            );
-        };
-        round(0, "Tracking");
-        repair(5.0, &wsn_network::replay::digest_hex(3), 7, true, true);
-        round(1, "Degraded");
-        repair(15.0, "not-hex", 7, false, false);
+        let [death, birth] = churn_repairs();
+        let healthy = |i: u64, after| round(i, i as f64 * 10.0, (Tracking, after), Cause::Healthy);
+        record_round(&j, 0, &healthy(0, Tracking));
+        record_repair(&j, &death);
+        record_round(&j, 0, &healthy(1, Degraded));
+        record_repair(&j, &birth);
         j.snapshot().to_jsonl()
     }
 
     #[test]
     fn repairs_decode_with_parsed_epochs() {
         let s = load(&churn_trace()).unwrap();
-        assert_eq!(s.repairs.len(), 2);
-        assert_eq!(s.repairs[0].epoch, Some(3));
-        assert_eq!(s.repairs[0].node, 7);
-        assert!(s.repairs[0].death);
-        assert_eq!(s.repairs[0].planes_retired, 12);
-        assert_eq!(s.repairs[0].faces_before, 841);
-        assert_eq!(s.repairs[0].faces_after, 838);
-        assert!(s.repairs[0].face_remapped);
-        // A malformed epoch hex decodes to None, not a parse failure.
-        assert_eq!(s.repairs[1].epoch, None);
-        assert!(!s.repairs[1].death);
+        assert_eq!(s.repairs, churn_repairs());
         // Repairs are rendered as churn lines, not "other events".
         assert!(s.other_events.is_empty(), "{:?}", s.other_events);
     }
@@ -1009,10 +920,9 @@ mod tests {
             "{text}"
         );
         // The death (t=5) lands between round 0 (silent, t=0) and the
-        // round-1 transition (t=10); the birth (t=15) follows round 1 and
-        // renders an unparseable epoch as "?".
+        // round-1 transition (t=10); the birth (t=15) follows round 1.
         let transition = text.find("round    1").expect(&text);
-        let birth = text.find("epoch ?: node 7 joined").expect(&text);
+        let birth = text.find("epoch 4: node 7 joined").expect(&text);
         assert!(death < transition && transition < birth, "{text}");
         assert!(
             text.contains("map repairs: 2 (1 death(s), 1 birth(s)), 1 warm-face remap(s)"),
@@ -1024,20 +934,7 @@ mod tests {
     fn repair_only_sessions_still_open_a_timeline_block() {
         let j = Journal::with_capacity(8);
         for session in [2u64, 5] {
-            j.record(
-                "fttt.map.repair",
-                TraceKind::Instant,
-                vec![
-                    ("session", ArgValue::U64(session)),
-                    ("t", ArgValue::F64(1.0)),
-                    (
-                        "epoch",
-                        ArgValue::Str(wsn_network::replay::digest_hex(session)),
-                    ),
-                    ("node", ArgValue::U64(1)),
-                    ("death", ArgValue::Bool(true)),
-                ],
-            );
+            record_repair(&j, &repair(session, 1.0, session, true, false));
         }
         let s = load(&j.snapshot().to_jsonl()).unwrap();
         let text = render(&s);
@@ -1046,8 +943,33 @@ mod tests {
         assert!(!text.contains("no session rounds"), "{text}");
         assert!(text.contains("— session 2 —"), "{text}");
         assert!(text.contains("— session 5 —"), "{text}");
-        assert!(text.contains("epoch 5: node 1 died"), "{text}");
+        assert!(text.contains("epoch 5: node 7 died"), "{text}");
         assert!(text.contains("0 rounds across 2 session(s)"), "{text}");
+    }
+
+    /// A round or repair event with a missing or mistyped field fails the
+    /// load, naming the event and the field, instead of being counted as
+    /// an other event.
+    #[test]
+    fn malformed_round_and_repair_events_are_load_errors() {
+        let mut round_args = sample_rounds()[0].journal_args(0);
+        round_args.retain(|(k, _)| *k != "k_after");
+        let mut repair_args = churn_repairs()[0].journal_args();
+        repair_args.retain(|(k, _)| *k != "epoch");
+        repair_args.push(("epoch", ArgValue::Str("not-hex".into())));
+        let load_one = |name, kind, args| {
+            let j = Journal::with_capacity(4);
+            j.record(name, kind, args);
+            load(&j.snapshot().to_chrome_json()).unwrap_err()
+        };
+        assert_eq!(
+            load_one(ROUND_EVENT, TraceKind::Round { round: 0 }, round_args),
+            "journal event 0: fttt.session.round event: missing integral \"k_after\""
+        );
+        assert_eq!(
+            load_one(REPAIR_EVENT, TraceKind::Instant, repair_args),
+            "journal event 0: fttt.map.repair event: missing hex \"epoch\""
+        );
     }
 
     #[test]

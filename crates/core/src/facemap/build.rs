@@ -340,9 +340,11 @@ impl std::hash::Hasher for PlaneKeyHasher {
 
 pub(super) type PlaneKeyState = std::hash::BuildHasherDefault<PlaneKeyHasher>;
 
-/// Signature → face index over the packed planes: a word-hash bucket map
-/// (first face per hash) plus an overflow list for the astronomically rare
-/// 64-bit collisions; lookups always confirm by full plane comparison.
+/// Signature → face index over the packed planes, kept only while faces
+/// are being grouped (a fresh build, a death repair's merges): a
+/// word-hash bucket map (first face per hash) plus an overflow list for
+/// the astronomically rare 64-bit collisions; lookups always confirm by
+/// full plane comparison.
 #[derive(Debug, Clone, Default)]
 pub(super) struct SignatureIndex {
     pub(super) first: HashMap<u64, u32, PlaneKeyState>,
@@ -513,15 +515,7 @@ impl Grouper {
         c: f64,
         prov: Provenance,
     ) -> FaceMap {
-        assemble(
-            self.planes,
-            self.sig_index,
-            self.accum,
-            grid,
-            positions,
-            c,
-            prov,
-        )
+        assemble(self.planes, self.accum, grid, positions, c, prov)
     }
 }
 
@@ -541,7 +535,6 @@ pub(super) struct Provenance {
 /// chunk layout cannot drift between them.
 pub(super) fn assemble(
     mut planes: SignaturePlanes,
-    mut sig_index: SignatureIndex,
     accum: CellAccum,
     grid: Grid,
     positions: Vec<Point>,
@@ -558,7 +551,6 @@ pub(super) fn assemble(
     // Return the worst-case reservation headroom: coarse maps (faces ≪
     // cells) would otherwise retain it for their whole lifetime.
     planes.shrink_to_fit();
-    sig_index.first.shrink_to_fit();
     let faces: Vec<Face> = (0..planes.face_count())
         .map(|i| {
             let (sx, sy, count) = sums[i];
@@ -615,7 +607,6 @@ pub(super) fn assemble(
         faces,
         cell_to_face,
         neighbors: neighbor_sets,
-        sig_index,
         planes,
         epoch: prov.epoch,
         deployment: prov.deployment,
@@ -641,7 +632,6 @@ pub struct FaceMap {
     pub(super) faces: Vec<Face>,
     pub(super) cell_to_face: Vec<u32>,
     pub(super) neighbors: Vec<Vec<FaceId>>,
-    pub(super) sig_index: SignatureIndex,
     pub(super) planes: SignaturePlanes,
     /// Repair generation: 0 at build, +1 per churn repair.
     pub(super) epoch: u64,
@@ -894,35 +884,6 @@ impl FaceMap {
         self.planes.is_certain(id.index())
     }
 
-    /// The face with exactly this signature, if any cell produced it.
-    pub fn find_by_signature(&self, sig: &SignatureVector) -> Option<FaceId> {
-        if sig.len() != self.pair_dimension() {
-            return None;
-        }
-        let words = words_for(sig.len());
-        let mut plus = vec![0u64; words];
-        let mut minus = vec![0u64; words];
-        for (i, &c) in sig.components().iter().enumerate() {
-            let (w, b) = (i / 64, i % 64);
-            plus[w] |= u64::from(c > 0) << b;
-            minus[w] |= u64::from(c < 0) << b;
-        }
-        // Plane words are the whole signature: a `SignatureVector` only
-        // ever holds components in {−1, 0, 1}.
-        let matches =
-            |f: u32| self.planes.plus(f as usize) == plus && self.planes.minus(f as usize) == minus;
-        let first = *self.sig_index.first.get(&hash_planes(&plus, &minus))?;
-        if matches(first) {
-            return Some(FaceId(first));
-        }
-        self.sig_index
-            .overflow
-            .iter()
-            .copied()
-            .find(|&f| matches(f))
-            .map(FaceId)
-    }
-
     /// Neighbor faces of `id` (Definition 8), sorted by id.
     ///
     /// # Panics
@@ -982,12 +943,9 @@ impl FaceMap {
         let faces = self.faces.len() * std::mem::size_of::<Face>();
         let cells = self.cell_to_face.len() * std::mem::size_of::<u32>();
         let links = self.neighbor_link_count() * std::mem::size_of::<FaceId>();
-        // The signature index stores one hash + id per face, not a second
-        // copy of the signatures.
-        let index = self.faces.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
         let topology = self.deployment.len() * std::mem::size_of::<Point>()
             + (self.live.len() + self.pair_gather.len()) * std::mem::size_of::<u32>();
-        index + faces + cells + links + topology + self.planes.memory_bytes()
+        faces + cells + links + topology + self.planes.memory_bytes()
     }
 
     /// Drops any slack capacity left by construction or repair. Both
@@ -1006,8 +964,6 @@ impl FaceMap {
             set.shrink_to_fit();
         }
         self.neighbors.shrink_to_fit();
-        self.sig_index.first.shrink_to_fit();
-        self.sig_index.overflow.shrink_to_fit();
         self.planes.shrink_to_fit();
     }
 }
@@ -1241,26 +1197,9 @@ impl FaceMap {
             neighbors.push(nbs);
         }
 
-        let mut sig_index = SignatureIndex::default();
-        for f in 0..n_faces as u32 {
-            let same = |g: u32| {
-                planes.plus(g as usize) == planes.plus(f as usize)
-                    && planes.minus(g as usize) == planes.minus(f as usize)
-            };
-            match sig_index.first.entry(hash_planes(
-                planes.plus(f as usize),
-                planes.minus(f as usize),
-            )) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(f);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if same(*e.get()) || sig_index.overflow.iter().any(|&g| same(g)) {
-                        return Err(CodecError::Corrupt("duplicate signature"));
-                    }
-                    sig_index.overflow.push(f);
-                }
-            }
+        let mut seen = std::collections::HashSet::with_capacity(n_faces);
+        if !(0..n_faces).all(|f| seen.insert((planes.plus(f), planes.minus(f)))) {
+            return Err(CodecError::Corrupt("duplicate signature"));
         }
         // Centroids round-trip exactly through the codec (written as raw
         // f64 bits), so a decoded map rebuilds the *same* chunk layout as
@@ -1276,7 +1215,6 @@ impl FaceMap {
             faces,
             cell_to_face,
             neighbors,
-            sig_index,
             planes,
             epoch: 0,
             live,
@@ -1311,15 +1249,24 @@ mod tests {
         assert!(map.face_count() > 1);
     }
 
+    /// Every face keyed by its signature; panics on a signature two faces
+    /// share.
+    fn faces_by_signature(map: &FaceMap) -> HashMap<SignatureVector, FaceId> {
+        let mut by_sig = HashMap::new();
+        for f in map.faces() {
+            let sig = map.signature(f.id);
+            assert!(
+                by_sig.insert(sig.clone(), f.id).is_none(),
+                "duplicate {sig}"
+            );
+        }
+        by_sig
+    }
+
     #[test]
     fn signatures_are_unique_per_face() {
         let map = FaceMap::build(&square4(), field(), 1.15, 2.0);
-        let mut seen = std::collections::HashSet::new();
-        for f in map.faces() {
-            let sig = map.signature(f.id);
-            assert_eq!(map.find_by_signature(&sig), Some(f.id));
-            assert!(seen.insert(sig.clone()), "duplicate signature {sig}");
-        }
+        assert_eq!(faces_by_signature(&map).len(), map.face_count());
     }
 
     #[test]
@@ -1444,12 +1391,12 @@ mod tests {
         let coarse = FaceMap::build(&square4(), field(), 1.15, 4.0);
         let fine = FaceMap::build(&square4(), field(), 1.15, 1.0);
         // Every coarse signature still exists in the fine map.
-        let mut found = 0;
-        for f in coarse.faces() {
-            if fine.find_by_signature(&coarse.signature(f.id)).is_some() {
-                found += 1;
-            }
-        }
+        let fine_sigs = faces_by_signature(&fine);
+        let found = coarse
+            .faces()
+            .iter()
+            .filter(|f| fine_sigs.contains_key(&coarse.signature(f.id)))
+            .count();
         assert!(found as f64 >= 0.9 * coarse.face_count() as f64);
         // Fine map sees at least as many faces.
         assert!(fine.face_count() >= coarse.face_count());
@@ -1468,8 +1415,8 @@ mod tests {
         for f in map.faces() {
             assert_eq!(back.signature(f.id), map.signature(f.id));
             assert_eq!(back.neighbors(f.id), map.neighbors(f.id));
-            assert_eq!(back.find_by_signature(&map.signature(f.id)), Some(f.id));
         }
+        assert_eq!(faces_by_signature(&back), faces_by_signature(&map));
         // And it matches identically.
         for (_, center) in map.grid().iter_centers().step_by(13) {
             assert_eq!(back.face_at(center), map.face_at(center));

@@ -451,7 +451,7 @@ impl FaceMap {
                 accum.record(&grid, ix, id);
             }
         }
-        let map = assemble(planes, sig_index, accum, grid, positions, self.c, prov);
+        let map = assemble(planes, accum, grid, positions, self.c, prov);
         (map, face_remap, 0)
     }
 
@@ -508,10 +508,11 @@ impl FaceMap {
 
         // Phase 2: materialize the new faces' planes in id order —
         // scattered old bits plus the fresh bits recorded in the key.
+        // Distinct keys materialize distinct planes (old planes are unique
+        // per face, fresh bits live at disjoint positions), so no face
+        // needs regrouping.
         let mut planes = SignaturePlanes::new(new_dim);
         planes.reserve(reps.len());
-        let mut sig_index = SignatureIndex::default();
-        sig_index.first.reserve(reps.len());
         let mut pbuf = vec![0u64; new_words];
         let mut mbuf = vec![0u64; new_words];
         for &(of, fp, fm) in &reps {
@@ -523,20 +524,11 @@ impl FaceMap {
                 pbuf[bit / 64] |= (fp >> k & 1) << (bit % 64);
                 mbuf[bit / 64] |= (fm >> k & 1) << (bit % 64);
             }
-            let id = planes.push_raw(&pbuf, &mbuf) as u32;
-            // Distinct keys materialize distinct planes (old planes are
-            // unique per face, fresh bits live at disjoint positions), so
-            // an occupied bucket is a pure hash collision.
-            match sig_index.first.entry(hash_planes(&pbuf, &mbuf)) {
-                Entry::Vacant(e) => {
-                    e.insert(id);
-                }
-                Entry::Occupied(_) => sig_index.overflow.push(id),
-            }
+            planes.push_raw(&pbuf, &mbuf);
         }
 
         let cells = grid.cell_count();
-        let map = assemble(planes, sig_index, accum, grid, positions, self.c, prov);
+        let map = assemble(planes, accum, grid, positions, self.c, prov);
         (map, face_remap, cells)
     }
 }

@@ -34,7 +34,7 @@ pub fn digest_round(digest: &mut Digest, round: &SessionRound) {
     digest.write_f64(round.t);
     digest.write_str(status_name(trace.status_before));
     digest.write_str(status_name(round.status));
-    digest.write_str(trace.cause);
+    digest.write_str(trace.cause.name());
     // 1-based face, 0 = blackout hold — the same encoding the journal and
     // the replay diff use.
     digest.write_u64(round.face.map_or(0, |f| f.0 as u64 + 1));
@@ -138,32 +138,11 @@ pub fn stable_session_id(
 mod tests {
     use super::*;
     use crate::facemap::FaceId;
-    use crate::session::{RoundTrace, TrackStatus};
-    use wsn_geometry::Point;
+    use crate::session::tests::matched_round;
+    use crate::session::{Cause, TrackStatus};
 
     fn round() -> SessionRound {
-        SessionRound {
-            t: 1.5,
-            estimate: Point { x: 10.0, y: 20.0 },
-            status: TrackStatus::Tracking,
-            samples: 3,
-            face: Some(FaceId(7)),
-            similarity: Some(0.875),
-            missing_fraction: 0.25,
-            reacquired: false,
-            held: false,
-            trace: RoundTrace {
-                round: 4,
-                status_before: TrackStatus::Degraded,
-                cause: "healthy",
-                blackout: false,
-                stranded: false,
-                starved: false,
-                teleported: false,
-                zero_fraction: 0.0,
-                k_after: 3,
-            },
-        }
+        matched_round(0, TrackStatus::Tracking, Cause::Healthy)
     }
 
     #[test]
@@ -192,10 +171,10 @@ mod tests {
             Box::new(|r| r.reacquired = true),
             Box::new(|r| r.trace.round = 5),
             Box::new(|r| r.trace.status_before = TrackStatus::Tracking),
-            Box::new(|r| r.trace.cause = "stranded"),
+            Box::new(|r| r.trace.cause = Cause::Stranded),
             Box::new(|r| r.trace.stranded = true),
             Box::new(|r| r.trace.zero_fraction = 0.125),
-            Box::new(|r| r.trace.k_after = 9),
+            Box::new(|r| r.trace.k_after = 10),
         ];
         for (i, mutate) in mutations.iter().enumerate() {
             let mut m = round();

@@ -42,6 +42,8 @@ use wsn_geometry::Point;
 use wsn_mobility::Trace;
 use wsn_network::{pair_count, GroupSampling};
 use wsn_telemetry as telemetry;
+use wsn_telemetry::json::{self, JsonValue};
+use wsn_telemetry::ArgValue;
 
 /// The session's judgement of how much to trust the current estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,40 +59,103 @@ pub enum TrackStatus {
     Lost,
 }
 
-/// Session configuration. All thresholds have workable defaults via
-/// [`SessionOptions::new`]; fields are public for tuning.
+impl TrackStatus {
+    /// Every status, in wire-byte order.
+    pub const ALL: [TrackStatus; 3] = [Self::Tracking, Self::Degraded, Self::Lost];
+
+    /// The status spelled `name` by [`status_name`], if any.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|&s| status_name(s) == name)
+    }
+}
+
+/// Why a round was judged the way it was: healthy, or the
+/// highest-priority failing check (`Blackout` > `Stranded` > `Starved` >
+/// `Teleported`). The discriminant is the cause's wire byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// Every check passed.
+    Healthy = 0,
+    /// The sampling vector was empty or all-`*`; the session held.
+    Blackout = 1,
+    /// Similarity fell below [`REACQUIRE_RATIO`] × rolling median.
+    Stranded = 2,
+    /// Missing fraction exceeded [`MAX_MISSING_FRACTION`].
+    Starved = 3,
+    /// The estimate jumped farther than the target could travel.
+    Teleported = 4,
+}
+
+impl Cause {
+    /// Every cause, in discriminant order (`ALL[c as usize] == c`).
+    pub const ALL: [Cause; 5] = [
+        Self::Healthy,
+        Self::Blackout,
+        Self::Stranded,
+        Self::Starved,
+        Self::Teleported,
+    ];
+
+    /// The stable journal/CLI spelling (`"healthy"`, `"blackout"`, …).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Healthy => "healthy",
+            Self::Blackout => "blackout",
+            Self::Stranded => "stranded",
+            Self::Starved => "starved",
+            Self::Teleported => "teleported",
+        }
+    }
+
+    /// The cause spelled `name` by [`Cause::name`], if any.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|c| c.name() == name)
+    }
+}
+
+/// A round is unhealthy when its similarity falls below this fraction of
+/// the rolling median of recent finite similarities. The heuristic
+/// tracker's in-round fallback re-acquisition reads the same ratio: both
+/// checks share one similarity window, so they must agree.
+pub const REACQUIRE_RATIO: f64 = 0.5;
+
+/// A round is unhealthy when more than this fraction of the sampling
+/// vector is `*` (unknown).
+pub const MAX_MISSING_FRACTION: f64 = 0.5;
+
+/// Slack added to the plausible-jump radius, metres (covers face
+/// granularity: even a perfect match moves in centroid-sized steps).
+pub const JUMP_SLACK: f64 = 15.0;
+
+/// Target probability λ for the Section-5.1 sampling-times bound used
+/// when escalating `k` under fault pressure.
+pub const LAMBDA: f64 = 0.95;
+
+/// Consecutive unhealthy rounds before the session declares
+/// [`TrackStatus::Lost`].
+pub const LOST_AFTER: usize = 3;
+
+/// Consecutive healthy rounds before a degraded/lost session returns to
+/// [`TrackStatus::Tracking`].
+pub const RECOVER_AFTER: usize = 2;
+
+/// Session configuration: the baseline sampling times and the target's
+/// maximum speed. The monitor's thresholds are the constants of this
+/// module ([`REACQUIRE_RATIO`], [`MAX_MISSING_FRACTION`], [`JUMP_SLACK`],
+/// [`LAMBDA`], [`LOST_AFTER`], [`RECOVER_AFTER`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionOptions {
-    /// A round is unhealthy when its similarity falls below this fraction
-    /// of the rolling median of recent finite similarities.
-    pub reacquire_ratio: f64,
-    /// A round is unhealthy when more than this fraction of the sampling
-    /// vector is `*` (unknown).
-    pub max_missing_fraction: f64,
     /// Maximum plausible target speed in m/s; estimates jumping farther
-    /// than `max_speed·Δt + jump_slack` from the last trusted estimate are
+    /// than `max_speed·Δt + JUMP_SLACK` from the last trusted estimate are
     /// unhealthy. `f64::INFINITY` disables the check.
     pub max_speed: f64,
-    /// Slack added to the plausible-jump radius, metres (covers face
-    /// granularity: even a perfect match moves in centroid-sized steps).
-    pub jump_slack: f64,
     /// Baseline sampling times `k` per grouping.
     pub base_samples: usize,
-    /// Ceiling on escalated sampling times.
-    pub max_samples: usize,
-    /// Target probability λ for the Section-5.1 sampling-times bound used
-    /// when escalating `k` under fault pressure.
-    pub lambda: f64,
-    /// Consecutive unhealthy rounds before the session declares
-    /// [`TrackStatus::Lost`].
-    pub lost_after: usize,
-    /// Consecutive healthy rounds before a degraded/lost session returns
-    /// to [`TrackStatus::Tracking`].
-    pub recover_after: usize,
 }
 
 impl SessionOptions {
-    /// Defaults around a baseline of `base_samples` sampling times.
+    /// Options around a baseline of `base_samples` sampling times, with
+    /// the plausible-speed check disabled.
     ///
     /// # Panics
     ///
@@ -98,15 +163,8 @@ impl SessionOptions {
     pub fn new(base_samples: usize) -> Self {
         assert!(base_samples > 0, "need at least one sample per grouping");
         Self {
-            reacquire_ratio: 0.5,
-            max_missing_fraction: 0.5,
             max_speed: f64::INFINITY,
-            jump_slack: 15.0,
             base_samples,
-            max_samples: base_samples.max(12),
-            lambda: 0.95,
-            lost_after: 3,
-            recover_after: 2,
         }
     }
 
@@ -114,6 +172,11 @@ impl SessionOptions {
     pub fn with_max_speed(mut self, speed: f64) -> Self {
         self.max_speed = speed;
         self
+    }
+
+    /// Ceiling on escalated sampling times: the baseline, but at least 12.
+    pub fn max_samples(&self) -> usize {
+        self.base_samples.max(12)
     }
 }
 
@@ -131,15 +194,13 @@ pub struct RoundTrace {
     pub round: u64,
     /// Session status *before* this round's checks ran.
     pub status_before: TrackStatus,
-    /// Why the round was judged the way it was: `"healthy"`, or the
-    /// highest-priority failing check (`"blackout"` > `"stranded"` >
-    /// `"starved"` > `"teleported"`).
-    pub cause: &'static str,
+    /// Why the round was judged the way it was.
+    pub cause: Cause,
     /// The sampling vector was empty or all-`*`; the session held.
     pub blackout: bool,
-    /// Similarity fell below `reacquire_ratio` × rolling median.
+    /// Similarity fell below [`REACQUIRE_RATIO`] × rolling median.
     pub stranded: bool,
-    /// Missing fraction exceeded `max_missing_fraction`.
+    /// Missing fraction exceeded [`MAX_MISSING_FRACTION`].
     pub starved: bool,
     /// The estimate jumped farther than the target could travel.
     pub teleported: bool,
@@ -263,23 +324,11 @@ impl TrackingSession {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < lambda < 1`, `base_samples ≤ max_samples` and
-    /// `base_samples > 0`.
+    /// Panics if `base_samples == 0`.
     pub fn new(tracker: Tracker, options: SessionOptions) -> Self {
-        assert!(
-            options.lambda > 0.0 && options.lambda < 1.0,
-            "λ must be in (0, 1), got {}",
-            options.lambda
-        );
         assert!(
             options.base_samples > 0,
             "need at least one sample per grouping"
-        );
-        assert!(
-            options.base_samples <= options.max_samples,
-            "base_samples {} exceeds max_samples {}",
-            options.base_samples,
-            options.max_samples
         );
         Self {
             tracker,
@@ -392,7 +441,7 @@ impl TrackingSession {
                 trace: RoundTrace {
                     round: round_index,
                     status_before,
-                    cause: "blackout",
+                    cause: Cause::Blackout,
                     blackout: true,
                     stranded: false,
                     starved: false,
@@ -420,13 +469,12 @@ impl TrackingSession {
         };
 
         // Health checks.
-        let stranded =
-            median.is_some_and(|median| outcome.similarity < self.options.reacquire_ratio * median);
-        let starved = missing_fraction > self.options.max_missing_fraction;
+        let stranded = median.is_some_and(|median| outcome.similarity < REACQUIRE_RATIO * median);
+        let starved = missing_fraction > MAX_MISSING_FRACTION;
         let teleported = self.options.max_speed.is_finite()
             && self.last_trusted.is_some_and(|(t0, p0)| {
                 let dt = (t - t0).max(0.0);
-                estimate.distance(p0) > self.options.max_speed * dt + self.options.jump_slack
+                estimate.distance(p0) > self.options.max_speed * dt + JUMP_SLACK
             });
 
         let healthy = !(stranded || starved || teleported);
@@ -459,13 +507,13 @@ impl TrackingSession {
             self.escalate_samples(group);
         }
         let cause = if healthy {
-            "healthy"
+            Cause::Healthy
         } else if stranded {
-            "stranded"
+            Cause::Stranded
         } else if starved {
-            "starved"
+            Cause::Starved
         } else {
-            "teleported"
+            Cause::Teleported
         };
         let round = SessionRound {
             t,
@@ -583,30 +631,21 @@ impl TrackingSession {
             }
         }
         if telemetry::journal_enabled() {
-            use telemetry::ArgValue;
-            telemetry::trace_instant(
-                "fttt.map.repair",
-                vec![
-                    ("session", ArgValue::U64(self.session_id)),
-                    ("t", ArgValue::F64(t)),
-                    (
-                        "epoch",
-                        ArgValue::Str(wsn_network::replay::digest_hex(report.epoch)),
-                    ),
-                    ("node", ArgValue::U64(report.node as u64)),
-                    ("death", ArgValue::Bool(report.death)),
-                    (
-                        "planes_retired",
-                        ArgValue::U64(report.planes_retired as u64),
-                    ),
-                    ("planes_added", ArgValue::U64(report.planes_added as u64)),
-                    ("cells", ArgValue::U64(report.cells_reclassified as u64)),
-                    ("faces_before", ArgValue::U64(report.faces_before as u64)),
-                    ("faces_after", ArgValue::U64(report.faces_after as u64)),
-                    ("repair_us", ArgValue::F64(report.repair_us)),
-                    ("face_remapped", ArgValue::Bool(face_remapped)),
-                ],
-            );
+            RepairEvent {
+                session: self.session_id,
+                t,
+                epoch: report.epoch,
+                node: report.node,
+                death: report.death,
+                planes_retired: report.planes_retired,
+                planes_added: report.planes_added,
+                cells: report.cells_reclassified,
+                faces_before: report.faces_before,
+                faces_after: report.faces_after,
+                repair_us: report.repair_us,
+                face_remapped,
+            }
+            .emit();
         }
     }
 
@@ -629,7 +668,7 @@ impl TrackingSession {
         match self.status {
             TrackStatus::Tracking => {}
             TrackStatus::Degraded | TrackStatus::Lost => {
-                if self.healthy_streak >= self.options.recover_after {
+                if self.healthy_streak >= RECOVER_AFTER {
                     self.status = TrackStatus::Tracking;
                 }
             }
@@ -639,7 +678,7 @@ impl TrackingSession {
     fn record_unhealthy(&mut self) {
         self.healthy_streak = 0;
         self.unhealthy_streak += 1;
-        if self.unhealthy_streak >= self.options.lost_after {
+        if self.unhealthy_streak >= LOST_AFTER {
             if self.status != TrackStatus::Lost {
                 // Ladder rung 3: give up the warm start and the similarity
                 // history — both are poisoned by whatever went wrong.
@@ -670,10 +709,10 @@ impl TrackingSession {
         if pairs == 0 {
             return;
         }
-        let needed = required_sampling_times(self.options.lambda, pairs);
+        let needed = required_sampling_times(LAMBDA, pairs);
         let before = self.samples;
         self.samples = needed
-            .clamp(self.options.base_samples, self.options.max_samples)
+            .clamp(self.options.base_samples, self.options.max_samples())
             .max(self.samples);
         if self.samples > before {
             telemetry::counter_add("fttt.session.escalations", 1);
@@ -714,37 +753,11 @@ impl TrackingSession {
             }
         }
         if telemetry::journal_enabled() {
-            use telemetry::ArgValue;
-            let trace = &round.trace;
-            let mut args = vec![
-                ("session", ArgValue::U64(self.session_id)),
-                ("t", ArgValue::F64(round.t)),
-                ("status_before", ArgValue::Str(status_name(before).into())),
-                ("status", ArgValue::Str(status_name(round.status).into())),
-                ("cause", ArgValue::Str(trace.cause.into())),
-                ("blackout", ArgValue::Bool(trace.blackout)),
-                ("stranded", ArgValue::Bool(trace.stranded)),
-                ("starved", ArgValue::Bool(trace.starved)),
-                ("teleported", ArgValue::Bool(trace.teleported)),
-                ("missing", ArgValue::F64(round.missing_fraction)),
-                ("zeros", ArgValue::F64(trace.zero_fraction)),
-                ("k", ArgValue::U64(round.samples as u64)),
-                ("k_after", ArgValue::U64(trace.k_after as u64)),
-                ("held", ArgValue::Bool(round.held)),
-                ("reacquired", ArgValue::Bool(round.reacquired)),
-                ("x", ArgValue::F64(round.estimate.x)),
-                ("y", ArgValue::F64(round.estimate.y)),
-                // Faces journal 1-based so 0 can mean "no match ran"
-                // (blackout hold) without an optional-arg shape change.
-                (
-                    "face",
-                    ArgValue::U64(round.face.map_or(0, |f| f.0 as u64 + 1)),
-                ),
-            ];
-            if let Some(sim) = round.similarity {
-                args.push(("similarity", ArgValue::F64(sim)));
-            }
-            telemetry::trace_round("fttt.session.round", trace.round, args);
+            telemetry::trace_round(
+                ROUND_EVENT,
+                round.trace.round,
+                round.journal_args(self.session_id),
+            );
         }
     }
 }
@@ -758,8 +771,259 @@ pub fn status_name(status: TrackStatus) -> &'static str {
     }
 }
 
+/// Name of the journal event that carries one [`SessionRound`].
+pub const ROUND_EVENT: &str = "fttt.session.round";
+
+/// Name of the journal event that carries one [`RepairEvent`].
+pub const REPAIR_EVENT: &str = "fttt.map.repair";
+
+/// A face as the journal spells it: 1-based, so 0 can mean "no match ran"
+/// (blackout hold) without an optional-arg shape change.
+fn face_arg(face: Option<FaceId>) -> u64 {
+    face.map_or(0, |f| u64::from(f.0) + 1)
+}
+
+/// Member `key` of `args` as the name of a `T`, decoded by `from_name`.
+fn named<T>(
+    args: &JsonValue,
+    key: &str,
+    ctx: &str,
+    from_name: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let name = args.req_str(key, ctx)?;
+    from_name(name).ok_or_else(|| format!("{ctx}: unknown {key:?} {name:?}"))
+}
+
+/// The journal form of a round: the one schema of a [`ROUND_EVENT`], its
+/// writer and its reader side by side.
+impl SessionRound {
+    /// The args of this round's [`ROUND_EVENT`] for session `session_id`;
+    /// the round index travels as the event's
+    /// [`TraceKind::Round`](wsn_telemetry::trace::TraceKind::Round) ordinal.
+    /// The similarity is left out on a blackout hold, and the journal
+    /// writes an exact match's `+∞` as `null`.
+    pub fn journal_args(&self, session_id: u64) -> Vec<(&'static str, ArgValue)> {
+        let trace = &self.trace;
+        let mut args = Vec::with_capacity(20);
+        args.extend([
+            ("session", ArgValue::U64(session_id)),
+            ("t", ArgValue::F64(self.t)),
+            (
+                "status_before",
+                ArgValue::Str(status_name(trace.status_before).into()),
+            ),
+            ("status", ArgValue::Str(status_name(self.status).into())),
+            ("cause", ArgValue::Str(trace.cause.name().into())),
+            ("blackout", ArgValue::Bool(trace.blackout)),
+            ("stranded", ArgValue::Bool(trace.stranded)),
+            ("starved", ArgValue::Bool(trace.starved)),
+            ("teleported", ArgValue::Bool(trace.teleported)),
+            ("missing", ArgValue::F64(self.missing_fraction)),
+            ("zeros", ArgValue::F64(trace.zero_fraction)),
+            ("k", ArgValue::U64(self.samples as u64)),
+            ("k_after", ArgValue::U64(trace.k_after as u64)),
+            ("held", ArgValue::Bool(self.held)),
+            ("reacquired", ArgValue::Bool(self.reacquired)),
+            ("x", ArgValue::F64(self.estimate.x)),
+            ("y", ArgValue::F64(self.estimate.y)),
+            ("face", ArgValue::U64(face_arg(self.face))),
+        ]);
+        if let Some(sim) = self.similarity {
+            args.push(("similarity", ArgValue::F64(sim)));
+        }
+        args
+    }
+
+    /// Decodes one parsed [`ROUND_EVENT`] of any journal serialization
+    /// (JSONL, canonical JSONL, Chrome trace) back into its session id and
+    /// round, exactly: every float comes back bit for bit, and a matched
+    /// round whose similarity reads `null` scored `+∞`.
+    ///
+    /// # Errors
+    ///
+    /// A missing or mistyped field, or an unknown status or cause name, is
+    /// an error naming the field.
+    pub fn from_journal(event: &JsonValue) -> Result<(u64, SessionRound), String> {
+        let ctx = "fttt.session.round event";
+        let args = event.req("args", ctx)?;
+        // Chrome puts the round ordinal in args, JSONL beside them.
+        let round = match event.get("round") {
+            Some(_) => event.req_u64("round", ctx)?,
+            None => args.req_u64("round", ctx)?,
+        };
+        let face = match args.req_u64("face", ctx)? {
+            0 => None,
+            f => {
+                Some(FaceId(u32::try_from(f - 1).map_err(|_| {
+                    format!("{ctx}: \"face\" {f} is out of range")
+                })?))
+            }
+        };
+        let similarity = match (face, args.get("similarity")) {
+            (None, None) => None,
+            (None, Some(_)) => {
+                return Err(format!("{ctx}: a blackout hold carries no \"similarity\""))
+            }
+            (Some(_), Some(JsonValue::Null)) => Some(f64::INFINITY),
+            (Some(_), _) => Some(args.req_f64("similarity", ctx)?),
+        };
+        let round = SessionRound {
+            t: args.req_f64("t", ctx)?,
+            estimate: Point::new(args.req_f64("x", ctx)?, args.req_f64("y", ctx)?),
+            status: named(args, "status", ctx, TrackStatus::from_name)?,
+            samples: args.req_u64("k", ctx)? as usize,
+            face,
+            similarity,
+            missing_fraction: args.req_f64("missing", ctx)?,
+            reacquired: args.req_bool("reacquired", ctx)?,
+            held: args.req_bool("held", ctx)?,
+            trace: RoundTrace {
+                round,
+                status_before: named(args, "status_before", ctx, TrackStatus::from_name)?,
+                cause: named(args, "cause", ctx, Cause::from_name)?,
+                blackout: args.req_bool("blackout", ctx)?,
+                stranded: args.req_bool("stranded", ctx)?,
+                starved: args.req_bool("starved", ctx)?,
+                teleported: args.req_bool("teleported", ctx)?,
+                zero_fraction: args.req_f64("zeros", ctx)?,
+                k_after: args.req_u64("k_after", ctx)? as usize,
+            },
+        };
+        Ok((args.req_u64("session", ctx)?, round))
+    }
+
+    /// The first field in which `self` and `other` differ, as `(journal
+    /// key, self's value, other's value)`, in a fixed order that follows
+    /// the replay digest's (time, statuses, cause and face first, the
+    /// similarity last) — what a replay diff reports. Values compare by
+    /// their rendering, and an `f64` renders as its shortest round-trip
+    /// form, so floats compare bit for bit (`-0` is not `0`). `None` when
+    /// the rounds agree, the round index aside.
+    pub fn first_journal_difference(
+        &self,
+        other: &SessionRound,
+    ) -> Option<(&'static str, String, String)> {
+        let fields = |r: &SessionRound| {
+            let t = &r.trace;
+            [
+                ("t", r.t.to_string()),
+                ("status_before", status_name(t.status_before).to_string()),
+                ("status", status_name(r.status).to_string()),
+                ("cause", t.cause.name().to_string()),
+                ("face", face_arg(r.face).to_string()),
+                ("x", r.estimate.x.to_string()),
+                ("y", r.estimate.y.to_string()),
+                ("blackout", t.blackout.to_string()),
+                ("stranded", t.stranded.to_string()),
+                ("starved", t.starved.to_string()),
+                ("teleported", t.teleported.to_string()),
+                ("held", r.held.to_string()),
+                ("reacquired", r.reacquired.to_string()),
+                ("missing", r.missing_fraction.to_string()),
+                ("zeros", t.zero_fraction.to_string()),
+                ("k", r.samples.to_string()),
+                ("k_after", t.k_after.to_string()),
+                (
+                    "similarity",
+                    r.similarity.map_or("none".into(), |v| v.to_string()),
+                ),
+            ]
+        };
+        fields(self)
+            .into_iter()
+            .zip(fields(other))
+            .find(|((_, a), (_, b))| a != b)
+            .map(|((key, a), (_, b))| (key, a, b))
+    }
+}
+
+/// One live-churn face-map repair as a session adopted it
+/// ([`TrackingSession::adopt_repair`]): the record of a [`REPAIR_EVENT`],
+/// which `fttt-sim explain` interleaves with the session's rounds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RepairEvent {
+    /// The adopting session's id.
+    pub session: u64,
+    /// Simulation time of the churn event, seconds.
+    pub t: f64,
+    /// The map's epoch after the repair (journaled hex-encoded, like every
+    /// full-range u64).
+    pub epoch: u64,
+    /// Deployment index of the churned node.
+    pub node: usize,
+    /// `true` for a death, `false` for a birth.
+    pub death: bool,
+    /// Pair planes removed from the map.
+    pub planes_retired: usize,
+    /// Pair planes added to the map.
+    pub planes_added: usize,
+    /// Cells the classifier recomputed.
+    pub cells: usize,
+    /// Face count before the repair.
+    pub faces_before: usize,
+    /// Face count after the repair.
+    pub faces_after: usize,
+    /// Wall-clock repair latency, microseconds.
+    pub repair_us: f64,
+    /// The session's warm-start face did not survive the repair exactly,
+    /// so the session re-enters the recovery ladder at a forced
+    /// re-acquisition.
+    pub face_remapped: bool,
+}
+
+impl RepairEvent {
+    /// The args of this repair's [`REPAIR_EVENT`].
+    pub fn journal_args(&self) -> Vec<(&'static str, ArgValue)> {
+        vec![
+            ("session", ArgValue::U64(self.session)),
+            ("t", ArgValue::F64(self.t)),
+            ("epoch", ArgValue::Str(json::format_hex(self.epoch))),
+            ("node", ArgValue::U64(self.node as u64)),
+            ("death", ArgValue::Bool(self.death)),
+            ("planes_retired", ArgValue::U64(self.planes_retired as u64)),
+            ("planes_added", ArgValue::U64(self.planes_added as u64)),
+            ("cells", ArgValue::U64(self.cells as u64)),
+            ("faces_before", ArgValue::U64(self.faces_before as u64)),
+            ("faces_after", ArgValue::U64(self.faces_after as u64)),
+            ("repair_us", ArgValue::F64(self.repair_us)),
+            ("face_remapped", ArgValue::Bool(self.face_remapped)),
+        ]
+    }
+
+    /// Records this repair as a [`REPAIR_EVENT`] instant into the
+    /// installed trace journal (a no-op when none is installed).
+    pub fn emit(&self) {
+        telemetry::trace_instant(REPAIR_EVENT, self.journal_args());
+    }
+
+    /// Decodes one parsed [`REPAIR_EVENT`] of any journal serialization.
+    ///
+    /// # Errors
+    ///
+    /// A missing or mistyped field is an error naming the field.
+    pub fn from_journal(event: &JsonValue) -> Result<Self, String> {
+        let ctx = "fttt.map.repair event";
+        let args = event.req("args", ctx)?;
+        let count = |key| args.req_u64(key, ctx).map(|v| v as usize);
+        Ok(Self {
+            session: args.req_u64("session", ctx)?,
+            t: args.req_f64("t", ctx)?,
+            epoch: args.req_hex("epoch", ctx)?,
+            node: count("node")?,
+            death: args.req_bool("death", ctx)?,
+            planes_retired: count("planes_retired")?,
+            planes_added: count("planes_added")?,
+            cells: count("cells")?,
+            faces_before: count("faces_before")?,
+            faces_after: count("faces_after")?,
+            repair_us: args.req_f64("repair_us", ctx)?,
+            face_remapped: args.req_bool("face_remapped", ctx)?,
+        })
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tracker::TrackerOptions;
     use rand::SeedableRng;
@@ -876,7 +1140,7 @@ mod tests {
             g
         });
         assert!(max_k > 5, "fault pressure must escalate k, saw {max_k}");
-        assert!(max_k <= s.options().max_samples);
+        assert!(max_k <= s.options().max_samples());
     }
 
     /// The phantom-pair regression: with fewer than two live nodes there
@@ -945,7 +1209,7 @@ mod tests {
         assert_eq!(r0.trace.round, 0);
         assert_eq!(r0.trace.status_before, TrackStatus::Tracking);
         assert_eq!(r0.status, TrackStatus::Degraded);
-        assert_eq!(r0.trace.cause, "blackout");
+        assert_eq!(r0.trace.cause, Cause::Blackout);
         assert!(r0.trace.blackout);
         assert!(!r0.trace.stranded && !r0.trace.starved && !r0.trace.teleported);
         // No pairs: k must not escalate.
@@ -969,14 +1233,14 @@ mod tests {
         let healthy = run
             .rounds
             .iter()
-            .filter(|r| r.trace.cause == "healthy")
+            .filter(|r| r.trace.cause == Cause::Healthy)
             .count();
         assert!(healthy > 0, "a clean run must have healthy rounds");
         for (i, r) in run.rounds.iter().enumerate() {
             assert_eq!(r.trace.round, i as u64, "rounds index the session lifetime");
             assert!((0.0..=1.0).contains(&r.trace.zero_fraction));
             assert_eq!(
-                r.trace.cause == "healthy",
+                r.trace.cause == Cause::Healthy,
                 !r.trace.blackout && !r.trace.stranded && !r.trace.starved && !r.trace.teleported
             );
         }
@@ -985,16 +1249,138 @@ mod tests {
     // NOTE: journal-emission coverage for `note_round` lives in
     // `crates/bench/tests/telemetry_spine.rs` — installing the
     // process-global journal from this multi-threaded unit-test binary
-    // would race other tests' sessions into the same ring.
+    // would race other tests' sessions into the same ring. The journal
+    // form itself round-trips through a local `Journal` below.
+
+    use wsn_telemetry::trace::{Journal, TraceKind};
+
+    /// A matched round with every field set to a distinct, non-default
+    /// value (for `round` 0: neither held nor re-acquired).
+    pub(crate) fn matched_round(round: u64, status: TrackStatus, cause: Cause) -> SessionRound {
+        SessionRound {
+            t: 0.1 * round as f64 + 1.0 / 3.0,
+            estimate: Point::new(12.345678901234567, -0.0),
+            status,
+            samples: 7,
+            face: Some(FaceId(41)),
+            similarity: Some(0.1 + 0.2),
+            missing_fraction: 2.0 / 7.0,
+            reacquired: round % 2 == 1,
+            held: round % 3 == 1,
+            trace: RoundTrace {
+                round,
+                status_before: TrackStatus::ALL[(round as usize + 1) % 3],
+                cause,
+                blackout: cause == Cause::Blackout,
+                stranded: cause == Cause::Stranded,
+                starved: cause == Cause::Starved,
+                teleported: cause == Cause::Teleported,
+                zero_fraction: 1e-300,
+                k_after: 9,
+            },
+        }
+    }
+
+    /// Every shape the journal must carry: a blackout hold (no face, no
+    /// similarity), an exact match (`+∞`), every cause and every status.
+    fn journal_cases() -> Vec<(u64, SessionRound)> {
+        let mut hold = matched_round(0, TrackStatus::Lost, Cause::Blackout);
+        (hold.face, hold.similarity, hold.missing_fraction) = (None, None, 1.0);
+        let mut exact = matched_round(1, TrackStatus::Tracking, Cause::Healthy);
+        exact.similarity = Some(f64::INFINITY);
+        let mut cases = vec![(3, hold), (1 << 47, exact)];
+        for cause in Cause::ALL {
+            for status in TrackStatus::ALL {
+                let round = cases.len() as u64;
+                cases.push((cause as u64, matched_round(round, status, cause)));
+            }
+        }
+        cases
+    }
+
+    fn repair_event(death: bool) -> RepairEvent {
+        RepairEvent {
+            session: 9,
+            t: 12.5,
+            epoch: u64::MAX - 1,
+            node: 7,
+            death,
+            planes_retired: 12,
+            planes_added: 14,
+            cells: 625,
+            faces_before: 841,
+            faces_after: 838,
+            repair_us: 480.2,
+            face_remapped: !death,
+        }
+    }
+
+    /// `rounds` and `repairs` journaled, then parsed back from each of the
+    /// journal's three serializations (the canonical one sorts its lines).
+    fn journal_forms(
+        rounds: &[(u64, SessionRound)],
+        repairs: &[RepairEvent],
+    ) -> Vec<Vec<JsonValue>> {
+        let journal = Journal::with_capacity(64);
+        for (session, r) in rounds {
+            let kind = TraceKind::Round {
+                round: r.trace.round,
+            };
+            journal.record(ROUND_EVENT, kind, r.journal_args(*session));
+        }
+        for event in repairs {
+            journal.record(REPAIR_EVENT, TraceKind::Instant, event.journal_args());
+        }
+        let log = journal.snapshot();
+        [
+            log.to_jsonl(),
+            log.to_canonical_jsonl(),
+            log.to_chrome_json(),
+        ]
+        .iter()
+        .map(|text| wsn_telemetry::trace::parse_journal(text).unwrap().0)
+        .collect()
+    }
 
     #[test]
-    fn invalid_options_rejected() {
-        let (_, map, _) = setup(4.0);
-        let mut bad = SessionOptions::new(5);
-        bad.lambda = 1.5;
-        let result = std::panic::catch_unwind(|| {
-            TrackingSession::new(Tracker::new(map, TrackerOptions::default()), bad)
-        });
-        assert!(result.is_err());
+    fn rounds_and_repairs_round_trip_through_every_journal_form() {
+        let (rounds, repairs) = (
+            journal_cases(),
+            vec![repair_event(true), repair_event(false)],
+        );
+        for events in journal_forms(&rounds, &repairs) {
+            let (mut got_rounds, mut got_repairs) = (Vec::new(), Vec::new());
+            for e in &events {
+                match e.get("name").and_then(JsonValue::as_str) {
+                    Some(ROUND_EVENT) => got_rounds.push(SessionRound::from_journal(e).unwrap()),
+                    _ => got_repairs.push(RepairEvent::from_journal(e).unwrap()),
+                }
+            }
+            got_rounds.sort_by_key(|(_, r)| r.trace.round);
+            got_repairs.sort_by_key(|e| !e.death);
+            assert_eq!((&got_rounds, &got_repairs), (&rounds, &repairs));
+            // Floats come back bit for bit, not merely equal.
+            for ((_, want), (_, got)) in rounds.iter().zip(&got_rounds) {
+                assert_eq!(want.first_journal_difference(got), None);
+            }
+            assert_eq!(got_repairs[0].repair_us.to_bits(), 480.2f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_dropped_field_fails_with_its_name() {
+        let (session, mut round) = journal_cases().swap_remove(4);
+        round.similarity = None; // dropped: only a blackout hold may omit it
+        let mut repair = repair_event(true);
+        repair.repair_us = f64::NAN; // journaled as null, not a number
+        let events = &journal_forms(&[(session, round)], &[repair])[0];
+        assert_eq!(
+            SessionRound::from_journal(&events[0]).unwrap_err(),
+            "fttt.session.round event: missing numeric \"similarity\""
+        );
+        assert_eq!(
+            RepairEvent::from_journal(&events[1]).unwrap_err(),
+            "fttt.map.repair event: missing numeric \"repair_us\""
+        );
     }
 }

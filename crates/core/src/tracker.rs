@@ -5,6 +5,7 @@ use crate::error::ErrorStats;
 use crate::facemap::{FaceId, FaceMap, RepairReport};
 use crate::matching::{match_heuristic_packed, match_indexed_packed, MatchOutcome};
 use crate::sampling::{QueryBuilder, ROUND_BUILDER};
+use crate::session::REACQUIRE_RATIO;
 use crate::vector::PackedQuery;
 use rand::Rng;
 use std::cell::Cell;
@@ -23,18 +24,15 @@ pub enum Matching {
     /// outcome.
     Exhaustive,
     /// Algorithm 2: hill-climb over neighbor links, warm-started from the
-    /// previous localization.
-    Heuristic {
-        /// Re-run exhaustively when the climb's similarity falls below
-        /// this fraction of the rolling median of recent (finite)
-        /// similarities. Unlike an absolute threshold, this tracks the
-        /// run's own attainable similarity level — under heavy noise the
-        /// median drops with it, so re-acquisition stays rare — while
-        /// still catching a climb stranded on a low plateau far from the
-        /// target (the warm-start divergence mode of sequential RSS
-        /// trackers). `None` disables the check.
-        reacquire_ratio: Option<f64>,
-    },
+    /// previous localization. The tracker re-runs exhaustively when the
+    /// climb's similarity falls below [`REACQUIRE_RATIO`] of the rolling
+    /// median of recent (finite) similarities. Unlike an absolute
+    /// threshold, this tracks the run's own attainable similarity level —
+    /// under heavy noise the median drops with it, so re-acquisition
+    /// stays rare — while still catching a climb stranded on a low
+    /// plateau far from the target (the warm-start divergence mode of
+    /// sequential RSS trackers).
+    Heuristic,
 }
 
 /// Tracker configuration.
@@ -44,19 +42,15 @@ pub struct TrackerOptions {
     pub extended: bool,
     /// Matching strategy.
     pub matching: Matching,
-    /// On similarity ties, report the mean of the tied faces' centroids
-    /// (the paper's tie rule) instead of the first face's centroid.
-    pub tie_average: bool,
 }
 
 impl Default for TrackerOptions {
-    /// Basic FTTT with exhaustive ML matching and tie averaging — the
-    /// configuration of the paper's headline simulations.
+    /// Basic FTTT with exhaustive ML matching — the configuration of the
+    /// paper's headline simulations.
     fn default() -> Self {
         Self {
             extended: false,
             matching: Matching::Exhaustive,
-            tie_average: true,
         }
     }
 }
@@ -82,17 +76,11 @@ impl TrackerOptions {
     /// poison the warm start for many localizations in a row.
     pub fn heuristic() -> Self {
         Self {
-            matching: Matching::Heuristic {
-                reacquire_ratio: Some(DEFAULT_REACQUIRE_RATIO),
-            },
+            matching: Matching::Heuristic,
             ..Self::default()
         }
     }
 }
-
-/// Default `reacquire_ratio` of [`TrackerOptions::heuristic`]: re-acquire
-/// when the climb lands below half the recent rolling-median similarity.
-pub const DEFAULT_REACQUIRE_RATIO: f64 = 0.5;
 
 /// Rolling window of recent finite similarities kept for the relative
 /// re-acquisition check (long enough to ride out single bad groupings,
@@ -317,14 +305,13 @@ impl Tracker {
     pub fn localize(&mut self, q: &PackedQuery) -> (Point, MatchOutcome) {
         let outcome = match self.options.matching {
             Matching::Exhaustive => match_indexed_packed(&self.map, q),
-            Matching::Heuristic { reacquire_ratio } => {
+            Matching::Heuristic => {
                 let start = self.previous.unwrap_or_else(|| self.map.center_face());
                 let out = match_heuristic_packed(&self.map, q, start);
-                let stranded = reacquire_ratio.is_some_and(|r| {
-                    self.recent_sims
-                        .median()
-                        .is_some_and(|median| out.similarity < r * median)
-                });
+                let stranded = self
+                    .recent_sims
+                    .median()
+                    .is_some_and(|median| out.similarity < REACQUIRE_RATIO * median);
                 if stranded {
                     if telemetry::journal_enabled() {
                         use telemetry::ArgValue;
@@ -412,7 +399,8 @@ impl Tracker {
     }
 
     fn resolve_estimate(&self, outcome: &MatchOutcome) -> Point {
-        if self.options.tie_average && outcome.ties.len() > 1 {
+        // The paper's tie rule: the mean of the tied faces' centroids.
+        if outcome.ties.len() > 1 {
             let mut x = 0.0;
             let mut y = 0.0;
             for &id in &outcome.ties {

@@ -113,8 +113,10 @@ proptest! {
         let map = FaceMap::build(&positions, field, c, 4.0);
         let total: usize = map.faces().iter().map(|f| f.cell_count).sum();
         prop_assert_eq!(total, map.grid().cell_count());
+        let mut signatures = std::collections::HashSet::new();
         for f in map.faces() {
-            prop_assert_eq!(map.find_by_signature(&map.signature(f.id)), Some(f.id));
+            // Planes are unique per face.
+            prop_assert!(signatures.insert(map.signature(f.id)));
             prop_assert!(field.contains(f.centroid));
             prop_assert!(f.bbox.contains(f.centroid));
             for &nb in map.neighbors(f.id) {

@@ -73,11 +73,7 @@ fn warm_step_allocations(nodes: usize, extended: bool, matching: Matching) -> us
     let field = params.random_field(&mut rng);
     let map = params.face_map(&field);
     let sampler = params.sampler();
-    let options = TrackerOptions {
-        extended,
-        matching,
-        ..TrackerOptions::default()
-    };
+    let options = TrackerOptions { extended, matching };
     let mut session = TrackingSession::new(Tracker::new(map, options), SessionOptions::new(5));
     let groups: Vec<_> = (0..4)
         .map(|i| sampler.sample(&field, Point::new(40.0 + i as f64, 55.0), &mut rng))

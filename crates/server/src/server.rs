@@ -6,9 +6,13 @@
 //! * an **acceptor** thread takes TCP connections; each connection gets a
 //!   blocking **reader** thread (frame parse + route) and a **writer**
 //!   thread (drains an outbound byte queue);
-//! * `shards` **worker** threads own disjoint slices of the session
-//!   registry (`session_id % shards`); every session mutation happens on
-//!   its owning worker, so session state needs no locks at all;
+//! * the session registry is split into `shards` disjoint slices
+//!   (`session_id % shards`), each behind one `Mutex<Shard>` and served
+//!   by its own **worker** thread. Every job runs under its shard's lock:
+//!   the worker takes it per job, and so does an idle connection reader
+//!   that serves a job inline when no shard queue holds work. A shard's
+//!   sessions are therefore stepped by one thread at a time, in the order
+//!   their jobs were routed;
 //! * workers are fed through **bounded** queues. When a shard's queue is
 //!   full the reader sheds the batch immediately with
 //!   [`ErrorCode::Overloaded`] instead of buffering without bound — the

@@ -22,7 +22,7 @@
 //! closes the connection — sessions owned by that connection are swept,
 //! so a malformed client can't leak slots.
 
-use fttt::session::{SessionRound, TrackStatus};
+use fttt::session::{Cause, SessionRound, TrackStatus};
 use fttt::FaceId;
 use wsn_geometry::Point;
 use wsn_network::GroupSampling;
@@ -189,47 +189,30 @@ pub mod flags {
     pub const REACQUIRED: u8 = 1 << 5;
 }
 
-/// [`TrackStatus`] → wire byte.
+/// [`TrackStatus`] → wire byte: its index in [`TrackStatus::ALL`].
 pub fn status_to_u8(s: TrackStatus) -> u8 {
-    match s {
-        TrackStatus::Tracking => 0,
-        TrackStatus::Degraded => 1,
-        TrackStatus::Lost => 2,
-    }
+    s as u8
 }
 
 /// Wire byte → [`TrackStatus`].
 pub fn status_from_u8(b: u8) -> Result<TrackStatus, WireError> {
-    match b {
-        0 => Ok(TrackStatus::Tracking),
-        1 => Ok(TrackStatus::Degraded),
-        2 => Ok(TrackStatus::Lost),
-        _ => Err(WireError::BadValue("track status")),
-    }
+    TrackStatus::ALL
+        .get(usize::from(b))
+        .copied()
+        .ok_or(WireError::BadValue("track status"))
 }
 
-/// Round cause → wire byte (the priority order of the session monitor).
-pub fn cause_to_u8(cause: &str) -> u8 {
-    match cause {
-        "healthy" => 0,
-        "blackout" => 1,
-        "stranded" => 2,
-        "starved" => 3,
-        "teleported" => 4,
-        _ => u8::MAX,
-    }
+/// Round [`Cause`] → wire byte: its discriminant.
+pub fn cause_to_u8(cause: Cause) -> u8 {
+    cause as u8
 }
 
-/// Wire byte → cause label.
-pub fn cause_from_u8(b: u8) -> Result<&'static str, WireError> {
-    match b {
-        0 => Ok("healthy"),
-        1 => Ok("blackout"),
-        2 => Ok("stranded"),
-        3 => Ok("starved"),
-        4 => Ok("teleported"),
-        _ => Err(WireError::BadValue("round cause")),
-    }
+/// Wire byte → [`Cause`].
+pub fn cause_from_u8(b: u8) -> Result<Cause, WireError> {
+    Cause::ALL
+        .get(usize::from(b))
+        .copied()
+        .ok_or(WireError::BadValue("round cause"))
 }
 
 impl RoundResult {
@@ -1087,17 +1070,18 @@ mod tests {
 
     #[test]
     fn status_and_cause_bytes_are_total() {
-        for s in [
-            TrackStatus::Tracking,
-            TrackStatus::Degraded,
-            TrackStatus::Lost,
-        ] {
+        // The wire bytes are fixed: declaration order.
+        assert_eq!(TrackStatus::ALL.map(status_to_u8), [0, 1, 2]);
+        assert_eq!(TrackStatus::ALL[1], TrackStatus::Degraded);
+        for s in TrackStatus::ALL {
             assert_eq!(status_from_u8(status_to_u8(s)).unwrap(), s);
         }
-        assert!(status_from_u8(9).is_err());
-        for c in ["healthy", "blackout", "stranded", "starved", "teleported"] {
+        assert!(status_from_u8(3).is_err());
+        assert_eq!(Cause::ALL.map(cause_to_u8), [0, 1, 2, 3, 4]);
+        assert_eq!(Cause::ALL[4], Cause::Teleported);
+        for c in Cause::ALL {
             assert_eq!(cause_from_u8(cause_to_u8(c)).unwrap(), c);
         }
-        assert!(cause_from_u8(200).is_err());
+        assert!(cause_from_u8(5).is_err());
     }
 }

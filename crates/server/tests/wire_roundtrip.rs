@@ -262,15 +262,11 @@ fn push_rejects_degenerate_grouping_dimensions() {
 fn round_result_survives_engine_round_trip() {
     // RoundResult ↔ SessionRound is lossless for every status/cause/flag
     // combination the engine can emit.
-    use fttt::session::{RoundTrace, SessionRound, TrackStatus};
+    use fttt::session::{Cause, RoundTrace, SessionRound, TrackStatus};
     use fttt::FaceId;
     use wsn_geometry::Point;
-    for status in [
-        TrackStatus::Tracking,
-        TrackStatus::Degraded,
-        TrackStatus::Lost,
-    ] {
-        for cause in ["healthy", "blackout", "stranded", "starved", "teleported"] {
+    for status in TrackStatus::ALL {
+        for cause in Cause::ALL {
             for face in [None, Some(FaceId(0)), Some(FaceId(41))] {
                 let round = SessionRound {
                     t: 12.5,
@@ -280,16 +276,16 @@ fn round_result_survives_engine_round_trip() {
                     face,
                     similarity: face.map(|_| 0.625),
                     missing_fraction: 0.25,
-                    reacquired: cause == "stranded",
+                    reacquired: cause == Cause::Stranded,
                     held: status == TrackStatus::Lost,
                     trace: RoundTrace {
                         round: 9,
                         status_before: status,
                         cause,
-                        blackout: cause == "blackout",
-                        stranded: cause == "stranded",
-                        starved: cause == "starved",
-                        teleported: cause == "teleported",
+                        blackout: cause == Cause::Blackout,
+                        stranded: cause == Cause::Stranded,
+                        starved: cause == Cause::Starved,
+                        teleported: cause == Cause::Teleported,
                         zero_fraction: 0.125,
                         k_after: 7,
                     },

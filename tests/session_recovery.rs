@@ -61,7 +61,7 @@ fn run_checked(p: &PaperParams, extended: bool, mut engine: RegimeEngine, seed: 
             round.t
         );
         assert!(err.is_finite(), "error must stay finite (t = {})", round.t);
-        assert!(round.samples >= 1 && round.samples <= s.options().max_samples);
+        assert!(round.samples >= 1 && round.samples <= s.options().max_samples());
         assert!((0.0..=1.0).contains(&round.missing_fraction));
     }
 }
@@ -175,7 +175,7 @@ fn sampling_times_decay_after_recovery() {
     let p = params();
     let field = p.grid_field();
     // Nodes 4–7 go silent for the window: 22 of 28 pairs unknown (starved,
-    // > max_missing_fraction) while 4 live nodes leave 6 pairs to escalate
+    // > MAX_MISSING_FRACTION) while 4 live nodes leave 6 pairs to escalate
     // against.
     let schedule = Schedule::parse("outage nodes=4,5,6,7 from=3 until=6").expect("valid schedule");
     let mut engine = schedule.engine(p.nodes);
@@ -195,7 +195,7 @@ fn sampling_times_decay_after_recovery() {
     let peak = run.rounds.iter().map(|r| r.samples).max().unwrap();
     assert!(peak > p.samples_k, "partial outage must escalate k");
     assert!(
-        peak <= s.options().max_samples,
+        peak <= s.options().max_samples(),
         "escalation must respect the clamp"
     );
     let last = run.rounds.last().unwrap();
