@@ -44,7 +44,8 @@
 //! With `--check BASELINE.json` the binary runs the same workload but,
 //! instead of writing the artifact, diffs the fresh timings against the
 //! committed baseline through [`fttt_bench::gate`] and exits nonzero on
-//! any regression beyond tolerance — the bench-trajectory gate.
+//! any regression beyond tolerance — the bench-trajectory gate. `--fast
+//! --check` is a usage error (exit 2): the baseline is a full run.
 
 use fttt::facemap::{signature_of, FaceMap, RepairMode};
 use fttt::matching::{match_exhaustive, match_indexed};
@@ -415,6 +416,15 @@ fn repair_median_us(map: &mut FaceMap, nodes: usize, mode: RepairMode, rounds: u
 
 fn main() {
     let cli = Cli::parse();
+    if cli.fast && cli.check.is_some() {
+        // The baseline holds full-run timings; two timed rounds cannot be
+        // held to tolerances taken from those.
+        eprintln!(
+            "error: --check gates a full run; drop --fast (its two timed rounds \
+             are too few for the baseline's tolerances)"
+        );
+        std::process::exit(2);
+    }
     let build_rounds = if cli.fast { 2 } else { 24 };
     let match_rounds = if cli.fast { 2 } else { 16 };
     let match_batch = if cli.fast { 10 } else { 30 };

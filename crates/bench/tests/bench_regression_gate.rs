@@ -1,7 +1,8 @@
 //! Gate smoke test against the *committed* baseline artifact: the baseline
 //! must pass the gate against itself (so `perf_snapshot --check` on an
 //! unchanged tree can pass), and a doctored fresh run must be caught with
-//! the regressing metric named.
+//! the regressing metric named. `perf_snapshot --fast --check` is refused
+//! as a usage error.
 
 use fttt_bench::gate::check_core;
 use wsn_telemetry::json::JsonValue;
@@ -114,4 +115,21 @@ fn doctored_fresh_run_fails_with_the_metric_named() {
             .all(|v| v.contains("match_us.packed_exhaustive") && v.contains("regressed")),
         "{violations:?}"
     );
+}
+
+/// `--fast --check` is refused before anything is timed: the baseline
+/// holds full-run numbers, and two timed rounds cannot be held to them.
+#[test]
+fn fast_check_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_perf_snapshot"))
+        .args(["--fast", "--check"])
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/core.json"))
+        .output()
+        .expect("spawn perf_snapshot");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("--fast"), "{err}");
+    assert!(!err.contains("panicked at"), "{err}");
+    // Nothing was timed: the table goes to stdout, and it is empty.
+    assert!(out.stdout.is_empty(), "{:?}", out.stdout);
 }

@@ -1,11 +1,10 @@
-//! Tier-1 trace-overhead smoke test: with NO journal installed, the
-//! journal-instrumented hot paths must cost essentially the same as an
-//! uninstrumented inline scan of the same work. Mirror of
-//! `telemetry_overhead.rs` for the tracing side: this file must stay the
-//! only test in its binary and must NEVER install a journal (or a metrics
-//! sink) — integration tests share a process per file, and a journal
-//! installed by any test here would arm the global tracing flag for the
-//! timed loops.
+//! Tier-1 overhead smoke test: with NO metrics sink and NO journal
+//! installed, the instrumented hot paths must cost essentially the same
+//! as an uninstrumented inline scan of the same work, and a disabled span
+//! must be nearly free. This file must stay the only test in its binary
+//! and must NEVER install a sink or a journal — integration tests share a
+//! process per file, and either installed by any test here would arm a
+//! global enabled-flag for the timed loops.
 
 use fttt::facemap::FaceMap;
 use fttt::matching::match_exhaustive;
@@ -19,6 +18,8 @@ use wsn_network::{Deployment, GroupSampler, SensorField};
 use wsn_signal::{uncertainty_constant, PathLossModel};
 
 fn setup() -> (FaceMap, SamplingVector) {
+    // Small world (coarse cells) so the whole test stays well under the
+    // tier-1 budget even in debug builds.
     let field = Rect::square(100.0);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let deployment = Deployment::random_uniform(12, field, &mut rng);
@@ -30,7 +31,8 @@ fn setup() -> (FaceMap, SamplingVector) {
     (map, basic_sampling_vector(&group))
 }
 
-/// The matcher's work without any instrumentation call sites.
+/// The matcher's work without any instrumentation call sites: one
+/// distance and one `1/√d²` per face, tracking the best similarity.
 fn uninstrumented_scan(map: &FaceMap, v: &SamplingVector) -> f64 {
     let mut best = f64::NEG_INFINITY;
     let q = PackedQuery::new(v);
@@ -79,13 +81,15 @@ fn disabled_tracing_is_effectively_free() {
     let bare = min_batch_us(rounds, batch, || {
         std::hint::black_box(uninstrumented_scan(&map, &v));
     });
-    // Loose by design (see telemetry_overhead.rs): this guards against a
-    // journal accidentally armed by default or unconditional event
-    // construction on the hot path, not microvariance.
+    // The instrumented matcher does strictly more (tie tracking and the
+    // final tie sort), so this is a loose sanity bound, lenient by design:
+    // it guards against a sink or journal accidentally armed by default,
+    // an unconditional allocation or event construction on the hot path,
+    // not microvariance.
     assert!(
         instrumented < 5.0 * bare + 20.0,
         "instrumented match_exhaustive {instrumented:.2} µs vs bare scan {bare:.2} µs — \
-         tracing is not free with no journal installed"
+         instrumentation is not free with no sink or journal installed"
     );
 
     // A disabled span must degenerate to a couple of relaxed loads: even a

@@ -352,9 +352,6 @@ pub struct WireTrace {
     /// the *same* trace id, so a shed and a server span sharing an id
     /// read as "shed, retried, served".
     pub sheds: Vec<Option<u64>>,
-    /// `fttt.server.stale_epoch` rejections: (trace, session, opened
-    /// epoch, current epoch).
-    pub stales: Vec<(Option<u64>, u64, u64, u64)>,
 }
 
 /// Parses a trace file's text (either format) into its cross-wire events.
@@ -389,10 +386,6 @@ pub fn load_wire(text: &str) -> Result<WireTrace, String> {
                 work_us: f("work_us"),
             }),
             "fttt.server.shed" => w.sheds.push(trace),
-            "fttt.server.stale_epoch" => {
-                w.stales
-                    .push((trace, u("session"), u("opened_epoch"), u("current_epoch")))
-            }
             _ => {}
         }
     }
@@ -427,7 +420,6 @@ pub struct Correlation {
     /// Sheds whose trace id the server eventually served — the client
     /// retried and got through.
     pub sheds_retried: usize,
-    pub stales: usize,
     /// Trace ids on which the two journals disagree about the session id
     /// or round count (almost certainly journals from different runs).
     pub session_mismatches: usize,
@@ -463,7 +455,6 @@ pub fn correlate(client: &WireTrace, server: &WireTrace) -> Correlation {
             .filter(|(t, _)| served.contains(t))
             .map(|(_, n)| *n as usize)
             .sum(),
-        stales: server.stales.len(),
         ..Correlation::default()
     };
     for p in &client.client_pushes {
@@ -581,9 +572,6 @@ pub fn render_correlation(c: &Correlation) -> String {
             c.sheds_total, c.sheds_retried,
         );
     }
-    if c.stales > 0 {
-        let _ = writeln!(out, "stale-epoch rejections: {}", c.stales);
-    }
     if c.client_only > 0 {
         let _ = writeln!(
             out,
@@ -635,7 +623,7 @@ pub fn run_correlate(client_path: &std::path::Path, server_path: &std::path::Pat
             client_path.display(),
         );
     }
-    print!("{}", render_correlation(&correlate(&client, &server)));
+    crate::print_stdout(&render_correlation(&correlate(&client, &server)));
 }
 
 /// The `explain` subcommand: load, render, print.
@@ -645,7 +633,7 @@ pub fn run(path: &std::path::Path) {
         std::process::exit(2);
     });
     match load(&text) {
-        Ok(summary) => print!("{}", render(&summary)),
+        Ok(summary) => crate::print_stdout(&render(&summary)),
         Err(e) => {
             eprintln!("error: {}: {e}", path.display());
             std::process::exit(2);
@@ -980,8 +968,7 @@ mod tests {
 
     /// Client + server journals for one traced run: trace 1 served clean,
     /// trace 2 shed once then served, trace 3 never journaled server-side
-    /// (a v1 push or a drop), trace 9 served for some other client, plus
-    /// one stale-epoch rejection.
+    /// (a v1 push or a drop), and trace 9 served for some other client.
     fn wire_pair() -> (String, String) {
         use wsn_network::replay::digest_hex;
         let client = Journal::with_capacity(16);
@@ -1024,17 +1011,6 @@ mod tests {
                 ],
             );
         }
-        server.record(
-            "fttt.server.stale_epoch",
-            TraceKind::Instant,
-            vec![
-                ("trace", ArgValue::Str(digest_hex(7))),
-                ("session", ArgValue::U64(33)),
-                ("shard", ArgValue::U64(0)),
-                ("opened_epoch", ArgValue::U64(1)),
-                ("current_epoch", ArgValue::U64(2)),
-            ],
-        );
         (client.snapshot().to_jsonl(), server.snapshot().to_jsonl())
     }
 
@@ -1060,7 +1036,6 @@ mod tests {
         assert_eq!(c.client_only, 1, "trace 3 has no server span");
         assert_eq!(c.server_only, 1, "trace 9 has no client push");
         assert_eq!((c.sheds_total, c.sheds_retried), (1, 1));
-        assert_eq!(c.stales, 1);
         assert_eq!(c.session_mismatches, 0);
     }
 
@@ -1080,7 +1055,6 @@ mod tests {
             text.contains("sheds: 1 (1 retried under the same trace id and served)"),
             "{text}"
         );
-        assert!(text.contains("stale-epoch rejections: 1"), "{text}");
         assert!(
             text.contains("client pushes with no server span: 1"),
             "{text}"

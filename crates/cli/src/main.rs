@@ -19,6 +19,22 @@ mod explain;
 mod render;
 mod replay;
 
+use std::io::Write;
+
+/// Writes `text` to stdout. A reader that went away (`fttt-sim explain
+/// FILE | head`) ends the process quietly with status 0, where `print!`
+/// would panic; any other write error is reported with status 1.
+pub(crate) fn print_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {

@@ -17,6 +17,8 @@ use fttt::replay::digest_hex;
 use fttt_bench::replay::{parse_recording, replay_and_diff, Divergence};
 use fttt_bench::robustness::CampaignKind;
 
+use crate::print_stdout;
+
 /// How many divergences to print before summarizing the rest.
 const MAX_SHOWN: usize = 10;
 
@@ -35,32 +37,31 @@ pub fn run(path: &Path) {
         CampaignKind::Custom { label, .. } => format!("custom schedule `{label}`"),
         CampaignKind::Churn => "churn storm x 3 map policies".to_string(),
     };
-    println!(
+    print_stdout(&format!(
         "recording: {kind} | seed {:#x} | {} trials x {} s, {} nodes | \
-         {} trial digests, {} round events",
+         {} trial digests, {} round events\nreplaying from the recorded header...\n",
         rec.cfg.seed,
         rec.cfg.trials,
         rec.cfg.duration,
         rec.cfg.nodes,
         rec.trials.len(),
         rec.rounds.len(),
-    );
-    println!("replaying from the recorded header...");
+    ));
     let report = replay_and_diff(&rec).unwrap_or_else(|e| {
         eprintln!("error: replay failed: {e}");
         std::process::exit(2);
     });
-    println!(
-        "live run: {} round events | campaign checksum {}",
+    print_stdout(&format!(
+        "live run: {} round events | campaign checksum {}\n",
         report.live_rounds,
         digest_hex(report.checksum)
-    );
+    ));
     if report.is_faithful() {
-        println!(
+        print_stdout(&format!(
             "replay: FAITHFUL — {} recorded rounds re-derived exactly, \
-             0 divergences",
+             0 divergences\n",
             report.recorded_rounds
-        );
+        ));
         return;
     }
     let first = &report.divergences[0];

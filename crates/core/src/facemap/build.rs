@@ -618,12 +618,14 @@ pub(super) fn assemble(
 /// The offline face division of a monitored field.
 ///
 /// Built once from a deployment, then kept **alive** under topology
-/// churn: [`FaceMap::kill_node`] / [`FaceMap::revive_node`] (see the
-/// `repair` module) patch the division in place when a sensor dies or
-/// comes back, bumping [`FaceMap::epoch`]. `positions` always holds the
-/// *live* sensors; `deployment` remembers the original roster so a node
-/// can return, and `pair_gather` maps the deployment's pair enumeration
-/// onto the live one.
+/// churn: [`FaceMap::repaired`] builds the division that follows a
+/// sensor's death or return from this one (without copying it first)
+/// and bumps [`FaceMap::epoch`]; [`FaceMap::kill_node`] /
+/// [`FaceMap::revive_node`] replace `self` with that result. Sessions
+/// sharing an `Arc<FaceMap>` each adopt the new map. `positions` always
+/// holds the *live* sensors; `deployment` remembers the original roster
+/// so a node can return, and `pair_gather` maps the deployment's pair
+/// enumeration onto the live one.
 #[derive(Debug, Clone)]
 pub struct FaceMap {
     pub(super) grid: Grid,

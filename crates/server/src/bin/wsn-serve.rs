@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-use wsn_server::{FlightConfig, Server, ServerConfig};
+use wsn_server::{Server, ServerConfig};
 
 const USAGE: &str = "wsn-serve — tracking-as-a-service daemon
 
@@ -42,8 +42,7 @@ OPTIONS:
                            seconds (requires --metrics-out)
     --trace-out PATH       Write the trace journal (JSONL) at exit
     --flight-dir DIR       Enable the anomaly flight recorder: dump journal
-                           + metrics into DIR on stalls / shed bursts /
-                           stale-epoch storms
+                           + metrics into DIR on stalls / shed bursts
     --watchdog-stall S     Declare a shard stalled after S seconds busy on
                            one job (default 5)
     --ingest-stall MS      Fault injection: stall every worker job MS
@@ -132,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--flight-dir" => {
-                config.flight = Some(FlightConfig::new(value("--flight-dir")?));
+                config.flight_dir = Some(value("--flight-dir")?.into());
             }
             "--watchdog-stall" => {
                 let secs: f64 = value("--watchdog-stall")?
@@ -214,7 +213,7 @@ fn main() -> ExitCode {
 
     // The journal feeds --trace-out at exit and the flight recorder live,
     // so either flag installs it.
-    let journal = (args.trace_out.is_some() || args.config.flight.is_some()).then(|| {
+    let journal = (args.trace_out.is_some() || args.config.flight_dir.is_some()).then(|| {
         let journal = std::sync::Arc::new(wsn_telemetry::Journal::new());
         wsn_telemetry::install_journal(std::sync::Arc::clone(&journal));
         journal

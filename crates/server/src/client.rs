@@ -72,7 +72,7 @@ impl From<std::io::Error> for ClientError {
 pub struct OpenInfo {
     /// The server-assigned session id.
     pub session: u64,
-    /// Map epoch the session is bound to.
+    /// Map epoch the session opened on; it follows every later churn.
     pub epoch: u64,
     /// Digest of the map the session matches against.
     pub map_digest: u64,

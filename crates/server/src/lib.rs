@@ -5,8 +5,8 @@
 //! length-prefixed binary protocol ([`wire`]), a session registry sharded
 //! across worker threads over **one** shared immutable [`fttt::FaceMap`]
 //! ([`server`]), bounded ingest queues that shed explicitly instead of
-//! buffering without bound, and epoch-checked invalidation so the PR-8
-//! churn repairs retire stale sessions cleanly.
+//! buffering without bound, and live churn: a repair of the shared map is
+//! adopted by every open session, which keeps tracking on the new map.
 //!
 //! The determinism contract carries over the wire unchanged: the server
 //! folds every round through [`fttt::replay::digest_round`] and reports
@@ -32,7 +32,7 @@ pub mod wire;
 
 pub use client::{ClientError, Connection, OpenInfo};
 pub use ops::{OpsError, OpsHandle};
-pub use server::{FlightConfig, Server, ServerConfig, SessionStatus, SessionView};
+pub use server::{Server, ServerConfig, SessionStatus, SessionView};
 pub use wire::{
     read_frame, read_frame_traced, write_frame, write_frame_traced, ErrorCode, Frame, ReadingRound,
     RecvError, RoundResult, WireError, DEFAULT_MAX_FRAME, MAX_ROUNDS_PER_PUSH, WIRE_VERSION,

@@ -15,9 +15,9 @@
 //!   when every shard is live, `503` when the watchdog has any shard
 //!   stalled;
 //! * `GET /sessions/<id>` — the owning shard's view of one session
-//!   ([`SessionView`]): `200` with status/rounds/digest/last-round when
-//!   active, `404` **with the epochs in the body** when retired or
-//!   unknown, `503` when the shard queue is full.
+//!   ([`SessionView`]): `200` with status/epoch/rounds/digest/last-round
+//!   when active, `404` with the current epoch in the body when unknown,
+//!   `503` when the shard queue is full.
 //!
 //! The parser is deliberately inhospitable: requests are capped at 8 KiB,
 //! anything that is not a well-formed `GET` start-line is answered `400`
@@ -290,7 +290,7 @@ fn healthz_json(state: &crate::server::ServerState) -> (bool, String) {
     let degraded = shards.iter().any(|s| s.3);
     let body = compact(|o| {
         o.field("status", if degraded { "degraded" } else { "ok" })
-            .field("epoch", state.epoch.load(Ordering::SeqCst))
+            .field("epoch", state.current_map().0.epoch())
             .field("sessions", state.session_count.load(Ordering::SeqCst))
             .field("uptime_us", now)
             .array("shards", |a| {
@@ -336,18 +336,6 @@ fn serve_session(
                 };
             });
             respond(stream, 200, "OK", "application/json", &body);
-        }
-        Some(SessionView::Retired {
-            opened_epoch,
-            current_epoch,
-        }) => {
-            let body = compact(|o| {
-                o.field("status", "retired")
-                    .field("session", session)
-                    .field("opened_epoch", opened_epoch)
-                    .field("current_epoch", current_epoch);
-            });
-            respond(stream, 404, "Not Found", "application/json", &body);
         }
         Some(SessionView::Unknown { current_epoch }) => {
             let body = compact(|o| {

@@ -17,10 +17,13 @@
 //!   full the reader sheds the batch immediately with
 //!   [`ErrorCode::Overloaded`] instead of buffering without bound — the
 //!   session is untouched and the client retries after draining replies;
-//! * the map is **epoch-checked**: a churn repair installs a new map and
-//!   bumps the epoch; sessions bound to an older epoch are invalidated
-//!   (and their slots freed) on their next touch with
-//!   [`ErrorCode::StaleEpoch`].
+//! * a **churn** repairs the current map outside the map lock, swaps the
+//!   result in, and queues one adopt job per shard behind every job
+//!   already waiting there: each open session moves to the repaired map
+//!   ([`TrackingSession::adopt_repair`]) and keeps tracking, exactly as an
+//!   in-process session does under `apply_churn`. The ack leaves only
+//!   after the adopt jobs are queued, so any push read after it runs on
+//!   the repaired map.
 
 use crate::wire::{
     read_frame_traced, ErrorCode, Frame, ReadingRound, RecvError, RoundResult, DEFAULT_MAX_FRAME,
@@ -28,11 +31,11 @@ use crate::wire::{
 use fttt::replay::{digest_face_map, digest_round, Digest};
 use fttt::session::{SessionOptions, TrackingSession};
 use fttt::tracker::{Tracker, TrackerOptions};
-use fttt::{FaceMap, PaperParams, RepairMode};
+use fttt::{FaceMap, PaperParams, RepairMode, RepairReport};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -74,44 +77,24 @@ pub struct ServerConfig {
     /// declared stalled: `/healthz` flips to degraded and
     /// `fttt.server.watchdog.stalls` increments (once per transition).
     pub watchdog_stall: Duration,
-    /// Anomaly flight recorder; `None` disables dumping.
-    pub flight: Option<FlightConfig>,
+    /// Anomaly flight recorder output directory; `None` disables dumping.
+    ///
+    /// On a watchdog stall or a shed burst (512 sheds inside one watchdog
+    /// interval) the monitor thread writes two files into the
+    /// directory via atomic tmp+rename: the journal ring as
+    /// `flight-<unix_secs>-<n>-<reason>.trace.jsonl` (readable by
+    /// `fttt-sim explain`/`replay`) and the merged metrics as the matching
+    /// `.metrics.json`. At most 8 dumps are written per process so a
+    /// flapping trigger cannot fill the disk.
+    pub flight_dir: Option<PathBuf>,
 }
 
-/// Where and when the anomaly flight recorder dumps evidence.
-///
-/// On a watchdog stall, a shed burst, or a `StaleEpoch` storm (at least
-/// the configured count inside one watchdog interval) the monitor thread
-/// writes two files into `dir` via atomic tmp+rename: the journal ring as
-/// `flight-<unix_secs>-<n>-<reason>.trace.jsonl` (readable by `fttt-sim
-/// explain`/`replay`) and the merged metrics as the matching
-/// `.metrics.json`. At most `max_dumps` dumps are written per process so
-/// a flapping trigger cannot fill the disk.
-#[derive(Debug, Clone)]
-pub struct FlightConfig {
-    /// Output directory for dump files.
-    pub dir: PathBuf,
-    /// Hard cap on dumps per process lifetime; later triggers only count
-    /// `fttt.server.flight.suppressed`.
-    pub max_dumps: usize,
-    /// Sheds within one watchdog interval that count as a burst.
-    pub shed_burst: u64,
-    /// Stale-epoch invalidations within one watchdog interval that count
-    /// as a storm.
-    pub stale_burst: u64,
-}
+/// Flight-recorder dumps per process lifetime; later triggers only count
+/// `fttt.server.flight.suppressed`.
+const MAX_FLIGHT_DUMPS: usize = 8;
 
-impl FlightConfig {
-    /// Flight recording into `dir` with default triggers.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FlightConfig {
-            dir: dir.into(),
-            max_dumps: 8,
-            shed_burst: 512,
-            stale_burst: 512,
-        }
-    }
-}
+/// Sheds within one watchdog interval that make a flight-recorder burst.
+const SHED_BURST: u64 = 512;
 
 impl ServerConfig {
     /// A server over `params` with production-ish defaults.
@@ -125,7 +108,7 @@ impl ServerConfig {
             ingest_stall: None,
             watchdog_interval: Duration::from_millis(200),
             watchdog_stall: Duration::from_secs(5),
-            flight: None,
+            flight_dir: None,
         }
     }
 
@@ -161,7 +144,6 @@ impl ServerConfig {
 struct Entry {
     session: TrackingSession,
     conn: u64,
-    epoch: u64,
     digest: Digest,
     rounds: u64,
     /// The most recent round served, kept for `/sessions/<id>`.
@@ -174,14 +156,6 @@ struct Entry {
 pub enum SessionView {
     /// The session is live on its shard.
     Active(SessionStatus),
-    /// The session exists but was opened against an older map epoch; its
-    /// next push will invalidate it. The query itself does not mutate.
-    Retired {
-        /// The epoch the session opened against.
-        opened_epoch: u64,
-        /// The server's current epoch.
-        current_epoch: u64,
-    },
     /// No session with that id is registered on the owning shard.
     Unknown {
         /// The server's current epoch.
@@ -237,6 +211,12 @@ pub(crate) enum Job {
         reply: mpsc::Sender<SessionView>,
         session: u64,
     },
+    /// One churn's repaired map: every session still on the map it
+    /// repaired adopts it.
+    Adopt {
+        map: Arc<FaceMap>,
+        report: Arc<RepairReport>,
+    },
     ConnClosed {
         conn: u64,
     },
@@ -280,12 +260,12 @@ pub(crate) struct ServerState {
     pub(crate) started: Instant,
     /// One liveness block per shard.
     pub(crate) shard_health: Vec<ShardHealth>,
-    /// The current shared map. Replaced wholesale by churn repairs;
-    /// sessions keep their `Arc` until invalidated.
-    map: RwLock<Arc<FaceMap>>,
-    /// Mirrors `map.epoch()` for lock-free stale checks on the hot path.
-    pub(crate) epoch: AtomicU64,
-    map_digest: AtomicU64,
+    /// The current shared map and its digest. Replaced wholesale by
+    /// churn repairs; the write lock is held only for the swap.
+    map: RwLock<(Arc<FaceMap>, u64)>,
+    /// Serialises churn frames: repair, swap and adopt-job routing run
+    /// under it, so every shard queue sees the repairs in epoch order.
+    churn: Mutex<()>,
     next_session: AtomicU64,
     pub(crate) session_count: AtomicU64,
     shutdown: AtomicBool,
@@ -310,6 +290,12 @@ impl ServerState {
     /// Microseconds since the server started — the heartbeat time base.
     pub(crate) fn now_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
+    }
+
+    /// The current shared map and its digest.
+    pub(crate) fn current_map(&self) -> (Arc<FaceMap>, u64) {
+        let guard = self.map.read().expect("map lock poisoned");
+        (Arc::clone(&guard.0), guard.1)
     }
 }
 
@@ -371,14 +357,13 @@ impl Server {
             .collect();
         let shard_health: Vec<ShardHealth> =
             (0..config.shards).map(|_| ShardHealth::default()).collect();
-        if let Some(flight) = &config.flight {
-            wsn_telemetry::ensure_writable_dir(&flight.dir)
+        if let Some(dir) = &config.flight_dir {
+            wsn_telemetry::ensure_writable_dir(dir)
                 .map_err(|e| std::io::Error::other(format!("flight dir: {e}")))?;
         }
         let state = Arc::new(ServerState {
-            epoch: AtomicU64::new(map.epoch()),
-            map_digest: AtomicU64::new(map_digest),
-            map: RwLock::new(map),
+            map: RwLock::new((map, map_digest)),
+            churn: Mutex::new(()),
             next_session: AtomicU64::new(1),
             session_count: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -447,12 +432,12 @@ impl Server {
 
     /// The current map epoch.
     pub fn epoch(&self) -> u64 {
-        self.state.epoch.load(Ordering::SeqCst)
+        self.state.current_map().0.epoch()
     }
 
     /// Digest of the current shared map.
     pub fn map_digest(&self) -> u64 {
-        self.state.map_digest.load(Ordering::SeqCst)
+        self.state.current_map().1
     }
 
     /// Merged metrics: the connection plane plus every shard worker,
@@ -682,7 +667,7 @@ fn conn_loop(stream: TcpStream, conn_id: u64, state: Arc<ServerState>, txs: Vec<
                 );
             }
             Frame::Churn { node, death } => {
-                let reply = apply_churn(&state, node as usize, death);
+                let reply = apply_churn(&state, &txs, node as usize, death);
                 let _ = out_tx.send(reply.encode_traced(trace));
             }
             Frame::Shutdown => {
@@ -706,13 +691,9 @@ fn conn_loop(stream: TcpStream, conn_id: u64, state: Arc<ServerState>, txs: Vec<
         }
     }
 
-    // Sweep this connection's sessions from every shard. Blocking send:
-    // cleanup must never be shed.
-    for (health, tx) in state.shard_health.iter().zip(&txs) {
-        health.queued.fetch_add(1, Ordering::SeqCst);
-        if tx.send(Job::ConnClosed { conn: conn_id }).is_err() {
-            health.queued.fetch_sub(1, Ordering::SeqCst);
-        }
+    // Sweep this connection's sessions from every shard.
+    for (shard, tx) in txs.iter().enumerate() {
+        send_unshed(&state, shard, tx, Job::ConnClosed { conn: conn_id });
     }
     state
         .conn_registry
@@ -788,48 +769,56 @@ fn route(
     }
 }
 
-/// Repairs the shared map for one churn event and installs the new epoch.
-/// Runs on the connection thread under the map write lock — churn is rare
-/// and the repair is incremental, so stalling ingest briefly is the
-/// honest cost of a topology change. The repair builds the new map from
-/// the old one without copying it first.
-fn apply_churn(state: &ServerState, node: usize, death: bool) -> Frame {
-    let mut guard = state.map.write().expect("map lock poisoned");
-    let map = guard.as_ref();
+/// Queues `job` on `shard` with a blocking send, for work that must never
+/// be shed: a closed connection's sweep and a churn's adopt job.
+fn send_unshed(state: &ServerState, shard: usize, tx: &SyncSender<Job>, job: Job) {
+    let queued = &state.shard_health[shard].queued;
+    queued.fetch_add(1, Ordering::SeqCst);
+    if tx.send(job).is_err() {
+        queued.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Repairs the shared map for one churn event, installs the result and
+/// queues one [`Job::Adopt`] per shard. Runs on the connection thread
+/// under the churn mutex, so repairs and their adopt jobs reach every
+/// shard queue in epoch order. The repair reads the current map through
+/// its own `Arc`: opens and other map readers wait only for the swap. The
+/// blocking sends wait behind the jobs already queued, which the shard
+/// workers drain without needing anything this thread holds.
+fn apply_churn(state: &ServerState, txs: &[SyncSender<Job>], node: usize, death: bool) -> Frame {
+    let _serial = state.churn.lock().unwrap_or_else(PoisonError::into_inner);
+    let (map, _) = state.current_map();
+    let refuse = |detail: String| Frame::Error {
+        code: ErrorCode::BadChurn,
+        context: node as u64,
+        detail,
+    };
     if node >= map.deployment().len() {
-        return Frame::Error {
-            code: ErrorCode::BadChurn,
-            context: node as u64,
-            detail: format!("node {node} outside the deployment"),
-        };
+        return refuse(format!("node {node} outside the deployment"));
     }
     if death && !map.is_node_live(node) {
-        return Frame::Error {
-            code: ErrorCode::BadChurn,
-            context: node as u64,
-            detail: format!("node {node} is already dead"),
-        };
+        return refuse(format!("node {node} is already dead"));
     }
     if !death && map.is_node_live(node) {
-        return Frame::Error {
-            code: ErrorCode::BadChurn,
-            context: node as u64,
-            detail: format!("node {node} is already live"),
-        };
+        return refuse(format!("node {node} is already live"));
     }
     if death && map.live_nodes().len() <= 2 {
-        return Frame::Error {
-            code: ErrorCode::BadChurn,
-            context: node as u64,
-            detail: "a face map needs at least two live sensors".into(),
-        };
+        return refuse("a face map needs at least two live sensors".into());
     }
-    let (repaired, _) = map.repaired(node, death, RepairMode::Incremental);
+    let (repaired, report) = map.repaired(node, death, RepairMode::Incremental);
     let epoch = repaired.epoch();
     let digest = digest_face_map(&repaired);
-    *guard = Arc::new(repaired);
-    state.epoch.store(epoch, Ordering::SeqCst);
-    state.map_digest.store(digest, Ordering::SeqCst);
+    let map = Arc::new(repaired);
+    *state.map.write().expect("map lock poisoned") = (Arc::clone(&map), digest);
+    let report = Arc::new(report);
+    for (shard, tx) in txs.iter().enumerate() {
+        let job = Job::Adopt {
+            map: Arc::clone(&map),
+            report: Arc::clone(&report),
+        };
+        send_unshed(state, shard, tx, job);
+    }
     state
         .conn_registry
         .counter("fttt.server.churn_repairs")
@@ -848,7 +837,7 @@ pub(crate) struct Shard {
     sessions: HashMap<u64, Entry>,
     opened: Arc<Counter>,
     closed: Arc<Counter>,
-    invalidated: Arc<Counter>,
+    churn_adopted: Arc<Counter>,
     dropped: Arc<Counter>,
     rounds_total: Arc<Counter>,
     batches: Arc<Counter>,
@@ -862,7 +851,7 @@ impl Shard {
             sessions: HashMap::new(),
             opened: registry.counter("fttt.server.sessions_opened"),
             closed: registry.counter("fttt.server.sessions_closed"),
-            invalidated: registry.counter("fttt.server.sessions_invalidated"),
+            churn_adopted: registry.counter("fttt.server.churn_adopted"),
             dropped: registry.counter("fttt.server.sessions_dropped"),
             rounds_total: registry.counter("fttt.server.rounds"),
             batches: registry.counter("fttt.server.push_batches"),
@@ -960,14 +949,13 @@ fn serve(state: &ServerState, shard: usize, core: &mut Shard, job: Job) {
                 );
                 return;
             }
-            let map = Arc::clone(&state.map.read().expect("map lock poisoned"));
+            let (map, map_digest) = state.current_map();
             let epoch = map.epoch();
             let tracker = Tracker::shared(map, state.config.tracker_options(extended));
             let entry = Entry {
                 session: TrackingSession::new(tracker, state.config.session_options())
                     .with_session_id(session),
                 conn,
-                epoch,
                 digest: Digest::new(),
                 rounds: 0,
                 last: None,
@@ -979,7 +967,7 @@ fn serve(state: &ServerState, shard: usize, core: &mut Shard, job: Job) {
                     client_tag,
                     session,
                     epoch,
-                    map_digest: state.map_digest.load(Ordering::SeqCst),
+                    map_digest,
                 }
                 .encode_traced(trace),
             );
@@ -995,36 +983,6 @@ fn serve(state: &ServerState, shard: usize, core: &mut Shard, job: Job) {
                 let _ = reply.send(unknown_session(session).encode_traced(trace));
                 return;
             };
-            let current = state.epoch.load(Ordering::SeqCst);
-            if entry.epoch != current {
-                // The map churned since this session opened: free the
-                // slot and tell the client to re-open.
-                let stale = entry.epoch;
-                core.sessions.remove(&session);
-                state.session_count.fetch_sub(1, Ordering::SeqCst);
-                core.invalidated.inc();
-                if wsn_telemetry::journal_enabled() {
-                    wsn_telemetry::trace_instant(
-                        "fttt.server.stale_epoch",
-                        vec![
-                            ("trace", ArgValue::Str(digest_hex(trace))),
-                            ("session", ArgValue::U64(session)),
-                            ("shard", ArgValue::U64(shard as u64)),
-                            ("opened_epoch", ArgValue::U64(stale)),
-                            ("current_epoch", ArgValue::U64(current)),
-                        ],
-                    );
-                }
-                let _ = reply.send(
-                    Frame::Error {
-                        code: ErrorCode::StaleEpoch,
-                        context: session,
-                        detail: format!("map epoch moved {stale} → {current}; re-open"),
-                    }
-                    .encode_traced(trace),
-                );
-                return;
-            }
             // A reading sized for a different deployment would panic
             // the matcher — and a panicking worker takes the whole
             // shard (and every session on it) down with it. Reject
@@ -1109,24 +1067,31 @@ fn serve(state: &ServerState, shard: usize, core: &mut Shard, job: Job) {
             );
         }
         Job::Query { reply, session } => {
-            let current = state.epoch.load(Ordering::SeqCst);
             let view = match core.sessions.get(&session) {
-                Some(entry) if entry.epoch == current => SessionView::Active(SessionStatus {
+                Some(entry) => SessionView::Active(SessionStatus {
                     session,
-                    epoch: entry.epoch,
+                    epoch: entry.session.tracker().map().epoch(),
                     rounds: entry.rounds,
                     digest: entry.digest.value(),
                     last: entry.last.clone(),
                 }),
-                Some(entry) => SessionView::Retired {
-                    opened_epoch: entry.epoch,
-                    current_epoch: current,
-                },
                 None => SessionView::Unknown {
-                    current_epoch: current,
+                    current_epoch: state.current_map().0.epoch(),
                 },
             };
             let _ = reply.send(view);
+        }
+        Job::Adopt { map, report } => {
+            // Sessions opened after the swap already hold `map`.
+            let mut adopted = 0;
+            for entry in core.sessions.values_mut() {
+                if entry.session.tracker().map().epoch() + 1 == report.epoch {
+                    let t = entry.last.as_ref().map_or(0.0, |r| r.t);
+                    entry.session.adopt_repair(t, Arc::clone(&map), &report);
+                    adopted += 1;
+                }
+            }
+            core.churn_adopted.add(adopted);
         }
         Job::ConnClosed { conn } => {
             let before = core.sessions.len();
@@ -1152,7 +1117,6 @@ fn monitor_loop(state: Arc<ServerState>) {
     let stall_us = state.config.watchdog_stall.as_micros() as u64;
     let mut dumps_written = 0usize;
     let mut last_shed = 0u64;
-    let mut last_stale = 0u64;
     loop {
         {
             let (lock, cvar) = &state.shutdown_signal;
@@ -1178,31 +1142,21 @@ fn monitor_loop(state: Arc<ServerState>) {
                 new_stall = true;
             }
         }
-        let Some(flight) = &state.config.flight else {
+        let Some(dir) = &state.config.flight_dir else {
             continue;
         };
         let snap = merged_snapshot(&state);
         let shed = snap.counters.get("fttt.server.shed").copied().unwrap_or(0);
-        let stale = snap
-            .counters
-            .get("fttt.server.sessions_invalidated")
-            .copied()
-            .unwrap_or(0);
         let shed_delta = shed.saturating_sub(last_shed);
-        let stale_delta = stale.saturating_sub(last_stale);
         last_shed = shed;
-        last_stale = stale;
         let reason = if new_stall {
-            Some("stall")
-        } else if shed_delta >= flight.shed_burst {
-            Some("shed-burst")
-        } else if stale_delta >= flight.stale_burst {
-            Some("stale-storm")
+            "stall"
+        } else if shed_delta >= SHED_BURST {
+            "shed-burst"
         } else {
-            None
+            continue;
         };
-        let Some(reason) = reason else { continue };
-        if dumps_written >= flight.max_dumps {
+        if dumps_written >= MAX_FLIGHT_DUMPS {
             state
                 .conn_registry
                 .counter("fttt.server.flight.suppressed")
@@ -1210,7 +1164,7 @@ fn monitor_loop(state: Arc<ServerState>) {
             continue;
         }
         dumps_written += 1;
-        flight_dump(&state, flight, reason, dumps_written, snap);
+        flight_dump(&state, dir, reason, dumps_written, snap);
     }
 }
 
@@ -1220,13 +1174,7 @@ fn monitor_loop(state: Arc<ServerState>) {
 /// concurrent reader never sees a torn file. With no journal installed the
 /// trace file is written empty — the metrics half still captures the
 /// anomaly.
-fn flight_dump(
-    state: &ServerState,
-    flight: &FlightConfig,
-    reason: &str,
-    seq: usize,
-    snap: Snapshot,
-) {
+fn flight_dump(state: &ServerState, dir: &Path, reason: &str, seq: usize, snap: Snapshot) {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -1235,12 +1183,12 @@ fn flight_dump(
     let mut trace = String::new();
     wsn_telemetry::with_journal(|j| trace = j.snapshot().to_jsonl());
     let mut ok = true;
-    let trace_path = flight.dir.join(format!("{stem}.trace.jsonl"));
+    let trace_path = dir.join(format!("{stem}.trace.jsonl"));
     if let Err(e) = wsn_telemetry::write_file_atomic(&trace_path, trace.as_bytes()) {
         eprintln!("flight recorder: {e}");
         ok = false;
     }
-    let metrics_path = flight.dir.join(format!("{stem}.metrics.json"));
+    let metrics_path = dir.join(format!("{stem}.metrics.json"));
     if let Err(e) = wsn_telemetry::write_file_atomic(&metrics_path, snap.to_json().as_bytes()) {
         eprintln!("flight recorder: {e}");
         ok = false;

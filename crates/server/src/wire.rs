@@ -80,9 +80,6 @@ pub enum ErrorCode {
     /// The owning shard's ingest queue was full; the batch was shed and
     /// never reached the session — retry after draining replies.
     Overloaded,
-    /// The session was opened against an older map epoch and has been
-    /// invalidated by a churn repair; re-open to continue.
-    StaleEpoch,
     /// The server is at its configured session capacity.
     SessionLimit,
     /// A churn request named an invalid node or transition.
@@ -104,7 +101,8 @@ impl ErrorCode {
             ErrorCode::Oversize => 3,
             ErrorCode::UnknownSession => 4,
             ErrorCode::Overloaded => 5,
-            ErrorCode::StaleEpoch => 6,
+            // 6 was the churn invalidation, which sessions now survive: it
+            // decodes as `Other(6)` and must not be reused.
             ErrorCode::SessionLimit => 7,
             ErrorCode::BadChurn => 8,
             ErrorCode::ShuttingDown => 9,
@@ -121,7 +119,6 @@ impl ErrorCode {
             3 => ErrorCode::Oversize,
             4 => ErrorCode::UnknownSession,
             5 => ErrorCode::Overloaded,
-            6 => ErrorCode::StaleEpoch,
             7 => ErrorCode::SessionLimit,
             8 => ErrorCode::BadChurn,
             9 => ErrorCode::ShuttingDown,
@@ -318,7 +315,7 @@ pub enum Frame {
         session: u64,
     },
     /// Client: kill (`death`) or revive a deployment node on the shared
-    /// map. Bumps the epoch; sessions opened before it become stale.
+    /// map. Bumps the epoch; every open session adopts the repaired map.
     Churn {
         /// Deployment node index.
         node: u32,
@@ -992,12 +989,13 @@ mod tests {
     #[test]
     fn error_detail_round_trips() {
         let frame = Frame::Error {
-            code: ErrorCode::StaleEpoch,
+            code: ErrorCode::BadChurn,
             context: 42,
-            detail: "epoch moved 3 → 5".into(),
+            detail: "node 42 → already dead".into(),
         };
         let bytes = frame.encode();
         assert_eq!(Frame::decode(&bytes[4..]).unwrap(), frame);
+        assert_eq!(ErrorCode::from_u16(6), ErrorCode::Other(6));
     }
 
     #[test]

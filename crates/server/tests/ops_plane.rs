@@ -1,8 +1,8 @@
 //! Failure-path tests for the live ops plane: a bind conflict must be a
 //! named error that leaves the serve loop running, hostile HTTP must be
 //! answered 400 and dropped without touching server state, session
-//! inspection must distinguish active/retired/unknown with the epochs in
-//! the body, and a deliberately stalled shard must flip `/healthz` to
+//! inspection must distinguish active from unknown with the epoch in the
+//! body, and a deliberately stalled shard must flip `/healthz` to
 //! degraded, count a watchdog stall, and leave a flight dump behind.
 
 use std::io::{Read, Write};
@@ -10,7 +10,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wsn_network::GroupSampling;
-use wsn_server::{Connection, FlightConfig, OpsError, ReadingRound, Server, ServerConfig};
+use wsn_server::{Connection, OpsError, ReadingRound, Server, ServerConfig};
 use wsn_signal::Rss;
 
 /// One HTTP/1.1 GET against the ops plane; returns (status, whole body).
@@ -132,7 +132,7 @@ fn hostile_http_gets_400_and_the_server_is_unharmed() {
 }
 
 #[test]
-fn session_endpoint_distinguishes_active_retired_and_unknown() {
+fn session_endpoint_distinguishes_active_and_unknown() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::fast()).unwrap();
     let ops = server.serve_ops("127.0.0.1:0").unwrap();
     let addr = ops.local_addr().to_string();
@@ -157,22 +157,15 @@ fn session_endpoint_distinguishes_active_retired_and_unknown() {
         "{body}"
     );
 
-    // Churn the map: the epoch moves and the session is now retired —
-    // still 404, but with both epochs so the caller can see why.
-    let opened = info.epoch;
-    conn.churn(0, true).unwrap();
-    assert!(server.epoch() > opened);
+    // Churn the map: the session adopts the repair and stays active,
+    // now on the new epoch.
+    let (epoch, _) = conn.churn(0, true).unwrap();
+    assert!(epoch > info.epoch);
     let (status, body) = http_get(&addr, &format!("/sessions/{}", info.session));
-    assert_eq!(status, 404, "{body}");
-    assert!(body.contains("\"status\":\"retired\""), "{body}");
-    assert!(
-        body.contains(&format!("\"opened_epoch\":{opened}")),
-        "{body}"
-    );
-    assert!(
-        body.contains(&format!("\"current_epoch\":{}", server.epoch())),
-        "{body}"
-    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"status\":\"active\""), "{body}");
+    assert!(body.contains(&format!("\"epoch\":{epoch}")), "{body}");
+    assert!(body.contains("\"rounds\":1"), "{body}");
 }
 
 /// A worker pinned by `ingest_stall` longer than the watchdog threshold:
@@ -187,7 +180,7 @@ fn stalled_shard_degrades_healthz_and_dumps_flight_data() {
     config.ingest_stall = Some(Duration::from_millis(600));
     config.watchdog_interval = Duration::from_millis(25);
     config.watchdog_stall = Duration::from_millis(100);
-    config.flight = Some(FlightConfig::new(&dir));
+    config.flight_dir = Some(dir.clone());
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let ops = server.serve_ops("127.0.0.1:0").unwrap();
     let addr = ops.local_addr().to_string();

@@ -1,20 +1,22 @@
-//! Live-server tests over loopback TCP: backpressure sheds, epoch
-//! invalidation, protocol abuse, the no-leaked-slots contract, and the
+//! Live-server tests over loopback TCP: backpressure sheds, churn adopted
+//! by open sessions, protocol abuse, the no-leaked-slots contract, and the
 //! per-connection I/O path (frames split and joined across reads, and
 //! reply order across coalesced writes).
 
 use fttt::replay::{digest_round, Digest};
 use fttt::session::TrackingSession;
 use fttt::tracker::Tracker;
+use fttt::RepairMode;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use wsn_network::GroupSampling;
 use wsn_server::{
-    read_frame, ClientError, Connection, ErrorCode, Frame, ReadingRound, RecvError, Server,
-    ServerConfig, DEFAULT_MAX_FRAME, WIRE_VERSION,
+    read_frame, ClientError, Connection, ErrorCode, Frame, ReadingRound, RecvError, RoundResult,
+    Server, ServerConfig, SessionView, DEFAULT_MAX_FRAME, WIRE_VERSION,
 };
 use wsn_signal::Rss;
 
@@ -90,41 +92,186 @@ fn unknown_session_is_a_typed_error() {
     }
 }
 
+/// An in-process session configured as the server configures its own,
+/// on a fresh copy of the server's initial map.
+fn shadow_session(config: &ServerConfig, extended: bool, session: u64) -> TrackingSession {
+    let field = config.params.grid_field();
+    let map = Arc::new(config.params.face_map(&field));
+    let tracker = Tracker::shared(map, config.tracker_options(extended));
+    TrackingSession::new(tracker, config.session_options()).with_session_id(session)
+}
+
+/// Pushes three rounds from `t0` to every session and checks each reply's
+/// results and running digest against the session's shadow.
+fn push_and_compare(
+    conn: &mut Connection,
+    sessions: &mut [(u64, TrackingSession, Digest)],
+    t0: f64,
+) {
+    let rounds: Vec<ReadingRound> = (0..3)
+        .map(|k| shifted_round(t0 + 0.5 * k as f64, 8, k))
+        .collect();
+    for (session, shadow, digest) in sessions.iter_mut() {
+        let (results, got) = conn.push_rounds(*session, rounds.clone()).unwrap();
+        let want: Vec<RoundResult> = rounds
+            .iter()
+            .map(|r| {
+                let round = shadow.step(r.t, &r.group);
+                digest_round(digest, &round);
+                RoundResult::from_round(&round)
+            })
+            .collect();
+        assert_eq!(results, want, "session {session}");
+        assert_eq!(got, digest.value(), "session {session}");
+    }
+}
+
+/// Open sessions live through churn as in-process sessions do: after a
+/// death and a birth, every reply equals that of a shadow session that
+/// applied the same churn at the same boundary, and no session is lost.
 #[test]
-fn churn_invalidates_stale_sessions_and_frees_their_slots() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::fast()).unwrap();
+fn churn_is_adopted_by_open_sessions_as_in_process() {
+    let config = ServerConfig::fast();
+    let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
     let mut conn = Connection::connect(server.local_addr()).unwrap();
-    let stale = conn.open_session(1, false).unwrap();
-
-    let (epoch, map_digest) = conn.churn(3, true).unwrap();
-    assert!(epoch > stale.epoch);
-    assert_eq!(server.epoch(), epoch);
-    assert_eq!(server.map_digest(), map_digest);
-
-    // The pre-churn session is rejected and its slot freed.
-    match conn.push_rounds(stale.session, vec![reading_round(0.0, 8)]) {
-        Err(ClientError::Server { code, context, .. }) => {
-            assert_eq!(code, ErrorCode::StaleEpoch);
-            assert_eq!(context, stale.session);
+    let mut sessions: Vec<(u64, TrackingSession, Digest)> = [false, true]
+        .into_iter()
+        .enumerate()
+        .map(|(tag, extended)| {
+            let info = conn.open_session(tag as u64, extended).unwrap();
+            let shadow = shadow_session(&config, extended, info.session);
+            (info.session, shadow, Digest::new())
+        })
+        .collect();
+    let mut epoch = server.epoch();
+    push_and_compare(&mut conn, &mut sessions, 0.0);
+    for (step, death) in [true, false].into_iter().enumerate() {
+        let (new_epoch, map_digest) = conn.churn(3, death).unwrap();
+        assert_eq!(new_epoch, epoch + 1);
+        assert_eq!(server.map_digest(), map_digest);
+        epoch = new_epoch;
+        // The churn lands after the last round pushed so far.
+        let last_t = 1.5 * step as f64 + 1.0;
+        for (session, shadow, _) in sessions.iter_mut() {
+            shadow.apply_churn(last_t, 3, death, RepairMode::Incremental);
+            match server.query_session(*session) {
+                Some(SessionView::Active(status)) => assert_eq!(status.epoch, epoch),
+                other => panic!("session {session} after churn: {other:?}"),
+            }
         }
-        other => panic!("expected StaleEpoch, got {other:?}"),
+        assert_eq!(server.session_count(), 2);
+        push_and_compare(&mut conn, &mut sessions, last_t + 0.5);
+    }
+
+    let metrics = server.metrics_snapshot();
+    assert_eq!(metrics.counters["fttt.server.churn_repairs"], 2);
+    assert_eq!(metrics.counters["fttt.server.churn_adopted"], 4);
+    for (session, _, digest) in &sessions {
+        let (rounds, got) = conn.close_session(*session).unwrap();
+        assert_eq!(rounds, 9);
+        assert_eq!(got, digest.value());
     }
     wait_for_session_count(&server, 0);
+}
 
-    // A fresh session binds to the new epoch and works.
-    let fresh = conn.open_session(2, false).unwrap();
-    assert_eq!(fresh.epoch, epoch);
-    let (results, _) = conn
-        .push_rounds(fresh.session, vec![reading_round(0.0, 8)])
-        .unwrap();
-    assert_eq!(results.len(), 1);
+/// A churn's adopt jobs wait for room in full shard queues, while a
+/// second connection keeps a window of pushes in flight into those same
+/// queues: both acks arrive, every push is served or shed, and no
+/// session is lost.
+#[test]
+fn churn_under_saturated_queues_cannot_deadlock() {
+    const WINDOW: usize = 8;
+    let mut config = ServerConfig::fast();
+    config.shards = 2;
+    config.queue_depth = 2;
+    // Slow workers keep both queues full while the window is open.
+    config.ingest_stall = Some(Duration::from_millis(2));
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let mut stream = raw_stream(&server);
+    let sessions: Vec<u64> = (0..4).map(|tag| open_raw(&mut stream, tag)).collect();
 
-    // Reviving restores the full deployment for later tests' sanity.
-    let (epoch2, _) = conn.churn(3, false).unwrap();
-    assert!(epoch2 > epoch);
-    let metrics = server.metrics_snapshot();
-    assert_eq!(metrics.counters["fttt.server.sessions_invalidated"], 1);
-    assert_eq!(metrics.counters["fttt.server.churn_repairs"], 2);
+    let churned = Arc::new(AtomicBool::new(false));
+    let (acks_tx, acks) = mpsc::channel();
+    let (filled_tx, filled) = mpsc::channel();
+    let churner = {
+        let addr = server.local_addr();
+        let churned = Arc::clone(&churned);
+        std::thread::spawn(move || {
+            let mut conn = Connection::connect(addr).unwrap();
+            // Churn only once the first window is in the queues.
+            filled.recv().unwrap();
+            for death in [true, false] {
+                acks_tx.send(conn.churn(3, death)).unwrap();
+            }
+            churned.store(true, Ordering::SeqCst);
+        })
+    };
+
+    let (mut sent, mut served, mut shed) = (0usize, 0usize, 0usize);
+    let mut served_per_session: HashMap<u64, u64> = HashMap::new();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    // At least eight windows, however soon the churns are acknowledged.
+    while (sent < 8 * WINDOW || !churned.load(Ordering::SeqCst)) && Instant::now() < deadline {
+        let burst: Vec<u8> = (0..WINDOW)
+            .flat_map(|i| {
+                let session = sessions[(sent + i) % sessions.len()];
+                push_bytes(session, &reading_round((sent + i) as f64, 8))
+            })
+            .collect();
+        stream.write_all(&burst).unwrap();
+        if sent == 0 {
+            filled_tx.send(()).unwrap();
+        }
+        sent += WINDOW;
+        for _ in 0..WINDOW {
+            match recv(&mut stream) {
+                Frame::Rounds { session, .. } => {
+                    *served_per_session.entry(session).or_default() += 1;
+                    served += 1;
+                }
+                Frame::Error { code, .. } => {
+                    assert_eq!(code, ErrorCode::Overloaded);
+                    shed += 1;
+                }
+                other => panic!("expected Rounds or Overloaded, got {other:?}"),
+            }
+        }
+    }
+    for death in [true, false] {
+        let ack = acks
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("no ack for the churn (death: {death})"));
+        assert!(ack.is_ok(), "{ack:?}");
+    }
+    churner.join().unwrap();
+    assert_eq!(served + shed, sent);
+    assert!(shed > 0, "the window never saturated the queues");
+    assert_eq!(server.session_count(), sessions.len() as u64);
+    for &session in &sessions {
+        // The adopt jobs may still fill the queue: a shed close is retried.
+        let rounds = loop {
+            stream
+                .write_all(&Frame::Close { session }.encode())
+                .unwrap();
+            match recv(&mut stream) {
+                Frame::CloseAck { rounds, .. } => break rounds,
+                Frame::Error {
+                    code: ErrorCode::Overloaded,
+                    ..
+                } => std::thread::sleep(Duration::from_millis(1)),
+                other => panic!("expected CloseAck, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            rounds,
+            served_per_session.get(&session).copied().unwrap_or(0)
+        );
+    }
+    // The closes queued behind both adopt jobs on every shard.
+    assert_eq!(
+        server.metrics_snapshot().counters["fttt.server.churn_adopted"],
+        8
+    );
 }
 
 #[test]
